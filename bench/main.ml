@@ -1098,9 +1098,12 @@ let perf () =
   let hnm = Hnm.create root in
   let dspf = Dspf.create root in
   let flow = Flow_sim.create g Metric.Hn_spf tm in
-  let incremental =
-    Routing_spf.Incremental.create g ~root:root.Link.src ~initial_cost:(fun _ -> 30)
-  in
+  (* One PSN's tree kept exact by repair, as under hop-by-hop flooding:
+     each run flips the representative link's cost and repairs. *)
+  let weights = Routing_spf.Dijkstra.compute_weights g ~cost:(fun _ -> 30) in
+  let tree = Routing_spf.Dijkstra.compute_flat g ~weights root.Link.src in
+  let table = Routing_spf.Routing_table.of_tree tree in
+  let repair_scratch = Routing_spf.Spf_repair.scratch () in
   let flip = ref false in
   let flooders =
     Array.init (Graph.node_count g) (fun i ->
@@ -1113,14 +1116,22 @@ let perf () =
                ignore
                  (Routing_spf.Dijkstra.compute g ~cost:(Metric.cost_fn metric)
                     root.Link.src)));
-        Test.make ~name:"incremental spf (one change)"
+        Test.make ~name:"single-source repair (one change)"
           (Staged.stage (fun () ->
                flip := not !flip;
-               Routing_spf.Incremental.set_cost incremental root.Link.id
-                 (if !flip then 60 else 30)));
-        Test.make ~name:"incremental table refresh"
-          (Staged.stage (fun () ->
-               ignore (Routing_spf.Incremental.next_hop_array incremental)));
+               let i = Link.id_to_int root.Link.id in
+               let old_w = weights.(i) in
+               let new_w =
+                 Routing_spf.Dijkstra.cost_weight (if !flip then 60 else 30)
+               in
+               weights.(i) <- new_w;
+               Routing_spf.Spf_repair.stage repair_scratch root.Link.id ~old_w
+                 ~new_w;
+               ignore
+                 (Routing_spf.Spf_repair.repair_staged repair_scratch g ~tree
+                    ~weights)));
+        Test.make ~name:"in-place table refresh"
+          (Staged.stage (fun () -> Routing_spf.Routing_table.refresh table tree));
         Test.make ~name:"full tree + table (one node)"
           (Staged.stage (fun () ->
                ignore

@@ -11,32 +11,30 @@ let compute ?(enabled = fun _ -> true) g ~cost dst =
   let n = Graph.node_count g in
   let dist = Array.make n max_int in
   let settled = Array.make n false in
-  let heap = Priority_queue.create ~compare:Int.compare in
+  (* Monotone pops (every pushed key is a popped key plus a link cost),
+     so the SPF radix queue applies; distances do not depend on the order
+     equal keys settle in. *)
+  let queue = Radix_queue.create () and slot = Radix_queue.slot () in
   dist.(Node.to_int dst) <- 0;
-  Priority_queue.push heap 0 dst;
-  let rec run () =
-    match Priority_queue.pop_min heap with
-    | None -> ()
-    | Some (d, node) ->
-      let i = Node.to_int node in
-      if not settled.(i) then begin
-        settled.(i) <- true;
-        (* Relax the *incoming* links: a shorter way for their tails. *)
-        List.iter
-          (fun (l : Link.t) ->
-            if enabled l.Link.id then begin
-              let j = Node.to_int l.Link.src in
-              let d' = d + cost l.Link.id in
-              if d' < dist.(j) then begin
-                dist.(j) <- d';
-                Priority_queue.push heap d' l.Link.src
-              end
-            end)
-          (Graph.in_links g node)
-      end;
-      run ()
-  in
-  run ();
+  Radix_queue.push queue ~key:0 ~tie:0 (Node.to_int dst);
+  while Radix_queue.pop_min_into queue slot do
+    let d = slot.Radix_queue.key and i = slot.Radix_queue.value in
+    if not settled.(i) then begin
+      settled.(i) <- true;
+      (* Relax the *incoming* links: a shorter way for their tails. *)
+      List.iter
+        (fun (l : Link.t) ->
+          if enabled l.Link.id then begin
+            let j = Node.to_int l.Link.src in
+            let d' = d + cost l.Link.id in
+            if d' < dist.(j) then begin
+              dist.(j) <- d';
+              Radix_queue.push queue ~key:d' ~tie:j j
+            end
+          end)
+        (Graph.in_links g (Node.of_int i))
+    end
+  done;
   let hops =
     Array.init n (fun i ->
         if i = Node.to_int dst || dist.(i) = max_int then []

@@ -10,7 +10,6 @@ type config = {
   instant_flooding : bool;
   line_error_rate : float;
   retransmit_interval_s : float;
-  use_incremental_spf : bool;
   trace_capacity : int;
   domains : int;
   telemetry : Telemetry.t option;
@@ -30,7 +29,6 @@ let default_config metric =
     instant_flooding = true;
     line_error_rate = 0.;
     retransmit_interval_s = 1.0;
-    use_incremental_spf = false;
     trace_capacity = 0;
     domains = Domain_pool.default_size ();
     telemetry = None }
@@ -135,6 +133,17 @@ let count_event o = function
   | Trace.Tables_recomputed _ -> Obs_metrics.inc o.recomputes
   | Trace.Link_state _ -> ()
 
+(* Under hop-by-hop flooding, one PSN's own view of the network: the
+   composite weights of the link costs it believes (a down link keeps
+   [lnot] of its weight, so the belief survives the outage), its SPF tree,
+   exact under those weights and repaired on every update it accepts
+   (§2.2), and the forwarding table read off the tree. *)
+type view = {
+  weights : int array;
+  tree : Spf_tree.t;
+  table : Routing_table.t;
+}
+
 type t = {
   graph : Graph.t;
   config : config;
@@ -150,9 +159,13 @@ type t = {
   prev_bits : float array; (* per link, snapshot at last period start *)
   cost_series : Time_series.t array;
   util_series : Time_series.t array;
-  (* Non-instant flooding: each node's believed costs, in-flight updates,
-     and the latency from origination to each fresh acceptance. *)
-  views : int array array; (* node x link; used when not instant_flooding *)
+  (* Forwarding tables, one per PSN, installed once and refreshed in
+     place. *)
+  tables : Routing_table.t array;
+  views : view array; (* per node; empty under instant flooding *)
+  repair_scratch : Spf_repair.scratch;
+  (* In-flight updates and the latency from origination to each fresh
+     acceptance. *)
   in_flight : (int, Update.t * float) Hashtbl.t;
   mutable next_update_token : int;
   (* Rosen-style per-line reliability: a control packet sent on a link
@@ -168,9 +181,6 @@ type t = {
   mutable changed_count : int;
   link_rng : Rng.t;
   flood_latency : Welford.t;
-  (* Per-node incremental SPF engines (§2.2's PSN algorithm), used when
-     configured and while the whole topology is up. *)
-  mutable incrementals : Routing_spf.Incremental.t array;
   (* Shared SPF engines (instant flooding): per-source route trees on the
      flooded costs, and min-hop trees on the up topology, both refreshed
      by diffing and fanned over the pool. *)
@@ -217,62 +227,49 @@ let recompute_min_hops t =
     done
   done
 
-let node_cost_fn t i =
-  if t.config.instant_flooding then Metric.cost_fn t.metric
-  else fun lid -> t.views.(i).(Link.id_to_int lid)
+(* Apply a node's share of one routing update — its own flooded costs
+   or ones it accepted — to its weight table, staging every weight that
+   moves for the repair. *)
+let rec stage_costs s weights link_up costs =
+  match costs with
+  | [] -> ()
+  | (lid, c) :: rest ->
+    let l = Link.id_to_int lid in
+    let w = Dijkstra.cost_weight c in
+    let new_w = if link_up.(l) then w else lnot w in
+    let old_w = weights.(l) in
+    if new_w <> old_w then begin
+      weights.(l) <- new_w;
+      Spf_repair.stage s lid ~old_w ~new_w
+    end;
+    stage_costs s weights link_up rest
+[@@hot_path]
 
-let install_table_for t i =
-  let tree =
-    Dijkstra.compute ~enabled:(link_enabled t) t.graph ~cost:(node_cost_fn t i)
-      (Node.of_int i)
-  in
-  Psn.install_table t.psns.(i) (Routing_table.of_tree tree)
+(* Repair a view's tree over the staged changes and refresh its
+   forwarding table in place. *)
+let repair_view t v =
+  ignore
+    (Spf_repair.repair_staged t.repair_scratch t.graph ~tree:v.tree
+       ~weights:v.weights);
+  Routing_table.refresh v.table v.tree
+[@@hot_path]
 
+let apply_costs t i costs =
+  let v = t.views.(i) in
+  stage_costs t.repair_scratch v.weights t.link_up costs;
+  repair_view t v
+[@@hot_path]
+
+(* Instant flooding: every node routes on the same flooded costs, so one
+   engine refresh serves all tables, reusing provably unaffected trees. *)
 let install_tables t =
-  if t.config.instant_flooding then begin
-    (* Every node routes on the same flooded costs: one engine refresh
-       serves all tables, reusing provably unaffected trees. *)
-    span t "spf_refresh" (fun () ->
-        Spf_engine.refresh t.spf ~enabled:(link_enabled t)
-          ~cost:(Metric.cost_fn t.metric));
-    Array.iteri
-      (fun i psn ->
-        Psn.install_table psn
-          (Routing_table.of_tree (Spf_engine.tree t.spf (Node.of_int i))))
-      t.psns
-  end
-  else Array.iteri (fun i _ -> install_table_for t i) t.psns;
-  t.tables_dirty <- false
-
-let all_links_up t = Array.for_all Fun.id t.link_up
-
-let incremental_active t =
-  t.config.use_incremental_spf
-  && t.config.instant_flooding
-  && Array.length t.incrementals > 0
-
-let build_incrementals t =
-  if t.config.use_incremental_spf && t.config.instant_flooding
-     && all_links_up t
-  then
-    t.incrementals <-
-      Array.init (Graph.node_count t.graph) (fun i ->
-          Routing_spf.Incremental.create t.graph ~root:(Node.of_int i)
-            ~initial_cost:(Metric.cost_fn t.metric))
-  else t.incrementals <- [||]
-
-(* Apply one period's flooded cost changes through every node's
-   incremental engine and refresh the forwarding tables from them. *)
-let apply_changes_incrementally t changes =
+  span t "spf_refresh" (fun () ->
+      Spf_engine.refresh t.spf ~enabled:(link_enabled t)
+        ~cost:(Metric.cost_fn t.metric));
   Array.iteri
-    (fun i inc ->
-      List.iter
-        (fun (lid, c) -> Routing_spf.Incremental.set_cost inc lid c)
-        changes;
-      Psn.install_table t.psns.(i)
-        (Routing_table.of_next_hops t.graph ~owner:(Node.of_int i)
-           (Routing_spf.Incremental.next_hop_array inc)))
-    t.incrementals;
+    (fun i table ->
+      Routing_table.refresh table (Spf_engine.tree t.spf (Node.of_int i)))
+    t.tables;
   t.tables_dirty <- false
 
 (* Send one in-flight update over a link as a priority control packet and
@@ -324,10 +321,7 @@ and deliver_update t node ~via token =
             { at = node;
               origin = u.Update.origin;
               latency_s = Engine.now t.engine -. originated_s });
-      List.iter
-        (fun (lid, c) -> t.views.(i).(Link.id_to_int lid) <- c)
-        u.Update.costs;
-      install_table_for t i;
+      apply_costs t i u.Update.costs;
       trace t (fun () -> Trace.Tables_recomputed { at = node });
       List.iter (fun lid -> send_control t lid token) forward)
 
@@ -432,7 +426,6 @@ let routing_period t =
   for k = 0 to t.doomed_acks.len - 1 do
     Hashtbl.remove t.pending_acks t.doomed_acks.buf.(k)
   done;
-  let all_changes = ref [] in
   Array.iter
     (fun psn ->
       List.iter
@@ -449,8 +442,7 @@ let routing_period t =
                 t.changed_count <- t.changed_count + 1
               end;
               t.changed_costs.(origin) <-
-                (link.Link.id, cost) :: t.changed_costs.(origin);
-              all_changes := (link.Link.id, cost) :: !all_changes
+                (link.Link.id, cost) :: t.changed_costs.(origin)
             | None -> ()
           end)
         (Psn.out_measurements psn))
@@ -480,10 +472,7 @@ let routing_period t =
         t.next_update_token <- token + 1;
         Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
         Measure.record_updates t.measure ~count:1 ~bits:0.;
-        List.iter
-          (fun (lid, c) -> t.views.(origin).(Link.id_to_int lid) <- c)
-          costs;
-        install_table_for t origin;
+        apply_costs t origin costs;
         List.iter
           (fun (l : Link.t) ->
             if t.link_up.(Link.id_to_int l.Link.id) then
@@ -492,10 +481,7 @@ let routing_period t =
       end
   done);
   t.changed_count <- 0;
-  if t.tables_dirty && t.config.instant_flooding then begin
-    if incremental_active t then apply_changes_incrementally t !all_changes
-    else install_tables t
-  end;
+  if t.tables_dirty && t.config.instant_flooding then install_tables t;
   (* Per-period series. *)
   if t.config.record_series then
     Array.iteri
@@ -573,6 +559,26 @@ let create ?config graph tm =
     Option.iter
       (fun p -> Domain_pool.set_probe p (Some (Tracer.pool_probe tracer)))
       pool;
+  let tables =
+    Array.init n (fun i -> Routing_table.create graph ~owner:(Node.of_int i))
+  in
+  Array.iteri (fun i table -> Psn.install_table psns.(i) table) tables;
+  (* Hop-by-hop flooding: every PSN starts from the same believed costs
+     with all links up; this is the only full SPF its tree ever sees. *)
+  let views =
+    if config.instant_flooding then [||]
+    else begin
+      let w = Dijkstra.compute_weights graph ~cost:(Metric.cost_fn metric) in
+      let s = Dijkstra.scratch () in
+      Array.mapi
+        (fun i table ->
+          let weights = Array.copy w in
+          let tree = Dijkstra.compute_flat_s s graph ~weights (Node.of_int i) in
+          Routing_table.refresh table tree;
+          { weights; tree; table })
+        tables
+    end
+  in
   let t =
     { graph;
       config;
@@ -586,10 +592,9 @@ let create ?config graph tm =
       min_hops = Array.init n (fun _ -> Array.make n max_int);
       link_up = Array.make nl true;
       prev_bits = Array.make nl 0.;
-      views =
-        Array.init (if config.instant_flooding then 0 else n) (fun _ ->
-            Array.init nl (fun i ->
-                Metric.cost metric (Link.id_of_int i)));
+      tables;
+      views;
+      repair_scratch = Spf_repair.scratch ();
       in_flight = Hashtbl.create 64;
       next_update_token = 0;
       pending_acks = Hashtbl.create 64;
@@ -600,7 +605,6 @@ let create ?config graph tm =
       changed_count = 0;
       link_rng = Rng.create (config.seed lxor 0x5F5F5F);
       flood_latency = Welford.create ();
-      incrementals = [||];
       spf = Spf_engine.create ?pool ~tracer graph;
       min_spf = Spf_engine.create ?pool ~tracer graph;
       trace =
@@ -633,13 +637,12 @@ let create ?config graph tm =
       (fun i s ->
         Obs_metrics.adopt_series m ~labels:(link_label i) "link_utilization" s)
       t.util_series);
-  build_incrementals t;
   t.workload <-
     Some
       (Workload.create ~size:config.packet_size rng engine tm
          ~inject:(fun packet -> handle_arrival t packet packet.Packet.src));
   recompute_min_hops t;
-  install_tables t;
+  if config.instant_flooding then install_tables t;
   t
 
 let graph t = t.graph
@@ -683,10 +686,26 @@ let set_link_up t lid up =
     Link_queue.set_up t.queues.(i) up;
     if up then Metric.link_up t.metric lid;
     recompute_min_hops t;
-    (* The incremental engines assume a fixed topology: rebuild (all up)
-       or disable (some link down) and recompute from scratch. *)
-    build_incrementals t;
-    install_tables t
+    if t.config.instant_flooding then install_tables t
+    else
+      (* Every PSN sees the line state at once: flip the link's sign in
+         each weight table and repair each tree. *)
+      Array.iter
+        (fun v ->
+          let old_w = v.weights.(i) in
+          v.weights.(i) <- lnot old_w;
+          Spf_repair.stage t.repair_scratch lid ~old_w ~new_w:v.weights.(i);
+          repair_view t v)
+        t.views
+  end
+
+let table t node = t.tables.(Node.to_int node)
+
+let believed_cost t node lid =
+  if t.config.instant_flooding then Metric.cost t.metric lid
+  else begin
+    let w = t.views.(Node.to_int node).weights.(Link.id_to_int lid) in
+    Dijkstra.composite_units (if w >= 0 then w else lnot w)
   end
 
 let cost_series t lid = t.cost_series.(Link.id_to_int lid)

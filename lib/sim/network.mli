@@ -27,7 +27,7 @@ type config = {
           within its period — the paper's synchrony assumption.  [false]:
           updates travel hop-by-hop as priority control packets with
           per-line acknowledgement and retransmission (Rosen's updating
-          protocol); each node recomputes its table on receipt (brief
+          protocol); each node repairs its own SPF tree on receipt (brief
           inconsistency windows are possible), and {!flood_latency_stats}
           measures how long floods actually take — validating that they
           are far faster than the 10-second period. *)
@@ -36,13 +36,6 @@ type config = {
           (default 0).  Data packets are simply lost; control packets are
           retransmitted until acknowledged. *)
   retransmit_interval_s : float;  (** control retransmission timer (1 s) *)
-  use_incremental_spf : bool;
-      (** maintain per-node incremental SPF engines (§2.2: the PSN
-          "attempts to perform only incremental adjustments") instead of
-          recomputing every tree from scratch each period.  Default false;
-          only active with [instant_flooding] and a fully-up topology —
-          otherwise the simulator falls back to full recomputation.
-          Results are identical up to equal-cost tie-breaking. *)
   trace_capacity : int;
       (** keep the most recent N structured {!Trace} events (0, the
           default, disables tracing) *)
@@ -92,6 +85,15 @@ val reset_measurements : t -> unit
 val set_link_up : t -> Link.id -> bool -> unit
 (** Take one simplex link down or bring it back (its reverse is separate).
     Coming back up, an HN-SPF link eases in at maximum cost (§5.4). *)
+
+val table : t -> Node.t -> Routing_table.t
+(** The node's forwarding table — the one its PSN forwards on, refreshed
+    in place as routes change. *)
+
+val believed_cost : t -> Node.t -> Link.id -> int
+(** The cost the node currently believes the link has: the last value it
+    originated or accepted for it under hop-by-hop flooding (a down link
+    keeps its last belief), the flooded cost under instant flooding. *)
 
 val cost_series : t -> Link.id -> Routing_stats.Time_series.t
 (** Per-period flooded cost of a link (empty unless [record_series]). *)

@@ -18,18 +18,26 @@ let hop_scale = 256
 
 let cost_scale = 1024
 
+(* Out of line: the message allocates, and [cost_weight] runs on the
+   A0xx-gated per-update path. *)
+let[@inline never] bad_cost c =
+  invalid_arg
+    (Printf.sprintf "Dijkstra: link cost %d outside [1, %d]" c max_link_cost)
+
+let weight_of ~adjust c =
+  if c < 1 || c > max_link_cost then bad_cost c;
+  (((c * cost_scale) + adjust) * hop_scale) + 1
+
+let cost_weight c = weight_of ~adjust:0 c
+
 let edge_weight ~tie_break ~cost lid =
-  let c = cost lid in
-  if c < 1 || c > max_link_cost then
-    invalid_arg
-      (Printf.sprintf "Dijkstra: link cost %d outside [1, %d]" c max_link_cost);
   let adjust =
     match tie_break with
     | `Neutral -> 0
     | `Favor probe -> if Link.id_equal probe lid then -1 else 0
     | `Avoid probe -> if Link.id_equal probe lid then 1 else 0
   in
-  (((c * cost_scale) + adjust) * hop_scale) + 1
+  weight_of ~adjust (cost lid)
 
 (* Memoized per-link composite weights: one cost_fn call + range check per
    link per refresh, instead of per edge per source.  Disabled links carry

@@ -69,6 +69,14 @@ val compute_weights_into :
     [Graph.link_count] — allocation-free, for tables refreshed every
     routing period. *)
 
+val cost_weight : int -> int
+(** The composite weight {!compute_weights} stores for one enabled link of
+    the given cost under [`Neutral] tie-breaking.  A one-link path's
+    composite distance is its weight, so [composite_units (cost_weight c)]
+    is [c].  Allocation-free.
+    @raise Invalid_argument if the cost is outside
+    [\[1, max_link_cost\]]. *)
+
 val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
 (** [compute_flat g ~weights root]: the SPF inner loop proper, over a table
     from {!compute_weights}.  [compute ... root] is exactly

@@ -12,9 +12,7 @@
     ("lazy deletion"), which the O(1) push makes free.
 
     Entries are ordered lexicographically by [(key, tie)]; Dijkstra uses the
-    arriving link id as the tie so pops are fully deterministic, making the
-    queue a drop-in refinement of {!Priority_queue} under its
-    [(weight, link-id)] comparison. *)
+    arriving link id as the tie so pops are fully deterministic. *)
 
 type t
 

@@ -1,28 +1,49 @@
 open! Import
 
-type t = { owner : Node.t; graph : Graph.t; hops : Link.id option array }
+type t = {
+  owner : Node.t;
+  graph : Graph.t;
+  hops : Link.id option array;
+  stamp : int array; (* hops.(v) is current when stamp.(v) = epoch *)
+  mutable epoch : int;
+}
+
+let create graph ~owner =
+  let n = Graph.node_count graph in
+  { owner; graph; hops = Array.make n None; stamp = Array.make n 0; epoch = 0 }
+
+(* The first hop toward [v] is its root-child ancestor's parent link.
+   Climbing from [v] memoises every node passed, so a whole refresh climbs
+   each tree edge once.  The hop stored is the tree's own [Some link]
+   value, never a fresh box. *)
+let rec first_hop t parent root v =
+  if t.stamp.(v) = t.epoch then t.hops.(v)
+  else begin
+    let hop =
+      match parent.(v) with
+      | None -> None
+      | Some lid as p ->
+        let u = Node.to_int (Graph.link t.graph lid).Link.src in
+        if u = root then p else first_hop t parent root u
+    in
+    t.hops.(v) <- hop;
+    t.stamp.(v) <- t.epoch;
+    hop
+  end
+
+let refresh t tree =
+  t.epoch <- t.epoch + 1;
+  let parent = Spf_tree.unsafe_parent tree in
+  let root = Node.to_int t.owner in
+  for v = 0 to Array.length t.hops - 1 do
+    ignore (first_hop t parent root v)
+  done
+[@@hot_path]
 
 let of_tree tree =
-  let g = Spf_tree.graph tree in
-  let n = Graph.node_count g in
-  let hops = Array.make n None in
-  Graph.iter_nodes g (fun dst ->
-      match Spf_tree.next_hop tree dst with
-      | Some l -> hops.(Node.to_int dst) <- Some l.Link.id
-      | None -> ());
-  { owner = Spf_tree.root tree; graph = g; hops }
-
-let of_next_hops graph ~owner hops =
-  if Array.length hops <> Graph.node_count graph then
-    invalid_arg "Routing_table.of_next_hops: wrong array length";
-  Array.iter
-    (function
-      | None -> ()
-      | Some lid ->
-        if not (Node.equal (Graph.link graph lid).Link.src owner) then
-          invalid_arg "Routing_table.of_next_hops: link does not leave owner")
-    hops;
-  { owner; graph; hops = Array.copy hops }
+  let t = create (Spf_tree.graph tree) ~owner:(Spf_tree.root tree) in
+  refresh t tree;
+  t
 
 let owner t = t.owner
 

@@ -13,12 +13,14 @@ type t
 val of_tree : Spf_tree.t -> t
 (** Extract next hops from a shortest-path tree. *)
 
-val of_next_hops : Graph.t -> owner:Node.t -> Link.id option array -> t
-(** Build directly from a per-destination next-hop array (indexed by node
-    id) — the fast path for {!Incremental}, which maintains next hops
-    without materializing a tree.
-    @raise Invalid_argument if the array length differs from the node
-    count or an entry names a link not leaving [owner]. *)
+val create : Graph.t -> owner:Node.t -> t
+(** A table with no routes, for {!refresh} to fill. *)
+
+val refresh : t -> Spf_tree.t -> unit
+(** [refresh t tree] rewrites [t] in place to [of_tree tree]: O(nodes),
+    allocation-free.  [tree] must be rooted at [owner t] over the table's
+    graph.  Whoever holds [t] (a PSN forwarding on it) sees the new routes
+    at once. *)
 
 val owner : t -> Node.t
 

@@ -27,8 +27,8 @@ open! Import
    Structure note: [repair] runs every routing period on the simulator's
    steady path and is pinned allocation-free by the A0xx gate (DESIGN.md
    §8).  Hence no local closures (their environment blocks allocate): the
-   phases are top-level helpers over explicit arguments, the flood
-   worklist is an int stack in the scratch, queue pops go through a
+   changes arrive through a staging buffer of int columns in the scratch,
+   the flood worklist is an int stack there too, queue pops go through a
    reusable {!Radix_queue.slot}, and parent patches draw on a preallocated
    [Some link-id] cache instead of boxing a fresh option per patch. *)
 
@@ -46,6 +46,11 @@ type scratch = {
   mutable nstack : int;
   mutable some_link : Link.id option array; (* some_link.(i) = Some (id i) *)
   mutable epoch : int;
+  (* Staged changes for the next repair, first [nch] live. *)
+  mutable ch_link : int array;
+  mutable ch_old : int array;
+  mutable ch_new : int array;
+  mutable nch : int;
 }
 
 let scratch () =
@@ -61,7 +66,11 @@ let scratch () =
     stack = [||];
     nstack = 0;
     some_link = [||];
-    epoch = 0 }
+    epoch = 0;
+    ch_link = [||];
+    ch_old = [||];
+    ch_new = [||];
+    nch = 0 }
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [repair] would put those (cold) sites inside the A0xx-gated body. *)
@@ -108,64 +117,79 @@ let invalidate s epoch v =
     s.nstack <- s.nstack + 1
   end
 
+let[@inline never] grow_changes s =
+  let cap = max 16 (2 * s.nch) in
+  let grow a =
+    let a' = Array.make cap 0 in
+    Array.blit a 0 a' 0 s.nch;
+    a'
+  in
+  s.ch_link <- grow s.ch_link;
+  s.ch_old <- grow s.ch_old;
+  s.ch_new <- grow s.ch_new
+
+let stage s lid ~old_w ~new_w =
+  if s.nch = Array.length s.ch_link then grow_changes s;
+  s.ch_link.(s.nch) <- Link.id_to_int lid;
+  s.ch_old.(s.nch) <- old_w;
+  s.ch_new.(s.nch) <- new_w;
+  s.nch <- s.nch + 1
+[@@hot_path]
+
 (* Phase 1: invalidate the direct children of worsened parent links.  The
    root has no parent and is never invalidated, so distance 0 stays
    anchored. *)
-let rec seed_increases s g parent epoch changes =
-  match changes with
-  | [] -> ()
-  | (lid, old_w, new_w) :: rest ->
-    let increase = old_w >= 0 && (new_w < 0 || new_w > old_w) in
-    (if increase then begin
-       let l = Graph.link g lid in
-       let v = Node.to_int l.Link.dst in
-       if parent_id parent v = Link.id_to_int lid then invalidate s epoch v
-     end);
-    seed_increases s g parent epoch rest
+let seed_increases s g parent epoch =
+  for c = 0 to s.nch - 1 do
+    let old_w = s.ch_old.(c) and new_w = s.ch_new.(c) in
+    if old_w >= 0 && (new_w < 0 || new_w > old_w) then begin
+      let lid = s.ch_link.(c) in
+      let v = Node.to_int (Graph.link g (Link.id_of_int lid)).Link.dst in
+      if parent_id parent v = lid then invalidate s epoch v
+    end
+  done
 [@@hot_path]
 
 (* Phase 3b: decreased links from intact sources.  Invalidated
    destinations were already offered this link by the in-scan of phase 3a;
    invalidated sources relax it when (if) they re-settle. *)
-let rec seed_decreases s g parent dist_u hops_u epoch changes =
-  match changes with
-  | [] -> ()
-  | (lid_t, old_w, new_w) :: rest ->
-    let decrease = new_w >= 0 && (old_w < 0 || new_w < old_w) in
-    (if decrease then begin
-       let l = Graph.link g lid_t in
-       let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
-       let lid = Link.id_to_int lid_t in
-       if s.invalid.(u) <> epoch && s.invalid.(v) <> epoch then begin
-         let du =
-           if s.stamp.(u) = epoch then s.newdist.(u)
-           else old_comp dist_u hops_u u
-         in
-         if du <> max_int then begin
-           let cand = du + new_w in
-           let cur =
-             if s.stamp.(v) = epoch then s.newdist.(v)
-             else old_comp dist_u hops_u v
-           in
-           if cand < cur then begin
-             touch s epoch v;
-             s.newdist.(v) <- cand;
-             s.newparent.(v) <- lid;
-             Radix_queue.push s.queue ~key:cand ~tie:lid v
-           end
-           else if cand = cur then
-             if s.stamp.(v) = epoch then begin
-               if lid < s.newparent.(v) then s.newparent.(v) <- lid
-             end
-             else if lid < parent_id parent v then
-               parent.(v) <- s.some_link.(lid)
-         end
-       end
-     end);
-    seed_decreases s g parent dist_u hops_u epoch rest
+let seed_decreases s g parent dist_u hops_u epoch =
+  for c = 0 to s.nch - 1 do
+    let old_w = s.ch_old.(c) and new_w = s.ch_new.(c) in
+    if new_w >= 0 && (old_w < 0 || new_w < old_w) then begin
+      let lid = s.ch_link.(c) in
+      let l = Graph.link g (Link.id_of_int lid) in
+      let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
+      if s.invalid.(u) <> epoch && s.invalid.(v) <> epoch then begin
+        let du =
+          if s.stamp.(u) = epoch then s.newdist.(u)
+          else old_comp dist_u hops_u u
+        in
+        if du <> max_int then begin
+          let cand = du + new_w in
+          let cur =
+            if s.stamp.(v) = epoch then s.newdist.(v)
+            else old_comp dist_u hops_u v
+          in
+          if cand < cur then begin
+            touch s epoch v;
+            s.newdist.(v) <- cand;
+            s.newparent.(v) <- lid;
+            Radix_queue.push s.queue ~key:cand ~tie:lid v
+          end
+          else if cand = cur then
+            if s.stamp.(v) = epoch then begin
+              if lid < s.newparent.(v) then s.newparent.(v) <- lid
+            end
+            else if lid < parent_id parent v then
+              parent.(v) <- s.some_link.(lid)
+        end
+      end
+    end
+  done
 [@@hot_path]
 
-let repair s g ~tree ~weights ~changes =
+let repair_staged s g ~tree ~weights =
   let n = Graph.node_count g in
   ready s n (Graph.link_count g);
   let parent = Spf_tree.unsafe_parent tree in
@@ -177,7 +201,7 @@ let repair s g ~tree ~weights ~changes =
   let in_off = Graph.csr_in_off g in
   let in_link_ids = Graph.csr_in_link_ids g in
   let epoch = s.epoch in
-  seed_increases s g parent epoch changes;
+  seed_increases s g parent epoch;
   (* Phase 2: flood invalidation down the suspect subtrees. *)
   while s.nstack > 0 do
     s.nstack <- s.nstack - 1;
@@ -220,7 +244,7 @@ let repair s g ~tree ~weights ~changes =
       Radix_queue.push s.queue ~key:!best_w ~tie:!best_l v
     end
   done;
-  seed_decreases s g parent dist_u hops_u epoch changes;
+  seed_decreases s g parent dist_u hops_u epoch;
   (* Phase 4: monotone re-settle, patching the tree exactly as a fresh
      computation would decode it. *)
   let resettled = ref 0 in
@@ -271,5 +295,18 @@ let repair s g ~tree ~weights ~changes =
       parent.(v) <- None
     end
   done;
+  s.nch <- 0;
   !resettled
+[@@hot_path]
+
+let rec stage_list s = function
+  | [] -> ()
+  | (lid, old_w, new_w) :: rest ->
+    stage s lid ~old_w ~new_w;
+    stage_list s rest
+[@@hot_path]
+
+let repair s g ~tree ~weights ~changes =
+  stage_list s changes;
+  repair_staged s g ~tree ~weights
 [@@hot_path]

@@ -54,4 +54,22 @@ val repair :
     from [Dijkstra.compute_weights] (under [`Neutral] tie-breaking);
     [changes] lists [(link, old_weight, new_weight)] for every table
     entry that differs, with [-1] for disabled.  [tree] must have been
-    exact under the old table. *)
+    exact under the old table.  Any negative weight, here and in
+    [weights], means disabled. *)
+
+(** {2 Allocation-free form}
+
+    Callers that learn their changes one link at a time (a PSN applying a
+    routing update to its own table) stage them in the scratch instead of
+    building the [changes] list. *)
+
+val stage : scratch -> Link.id -> old_w:int -> new_w:int -> unit
+(** Queue one [(link, old_weight, new_weight)] change for the next
+    {!repair_staged} on this scratch.  Each link at most once per
+    repair. *)
+
+val repair_staged :
+  scratch -> Graph.t -> tree:Spf_tree.t -> weights:int array -> int
+(** {!repair} over the staged changes, which it then discards.
+    [repair s g ~tree ~weights ~changes] is [stage] of every change
+    followed by [repair_staged s g ~tree ~weights]. *)

@@ -10,6 +10,8 @@ module Measure = Routing_sim.Measure
 module Network = Routing_sim.Network
 module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
+module Dijkstra = Routing_spf.Dijkstra
+module Routing_table = Routing_spf.Routing_table
 
 (* --- Event queue / engine --- *)
 
@@ -427,35 +429,90 @@ let test_network_reliable_flooding_on_lossy_lines () =
     true
     (delivered /. generated > 0.75 && delivered /. generated < 0.95)
 
-let test_network_incremental_spf_agrees () =
+(* Hop-by-hop flooding keeps one SPF tree per PSN and repairs it on every
+   update the PSN accepts.  Each PSN's table must then be exactly what a
+   fresh SPF over that PSN's own believed costs would install. *)
+let hop_by_hop_arpanet () =
   let g = Arpanet.topology () in
   let tm = Arpanet.peak_traffic (Rng.create 7) g in
-  let run use_incremental_spf =
-    let config =
-      { (Network.default_config Metric.Hn_spf) with
-        Network.seed = 6;
-        record_series = false;
-        use_incremental_spf }
-    in
-    let net = Network.create ~config g tm in
-    Network.run net ~duration_s:120.;
-    Network.indicators net
+  let config =
+    { (Network.default_config Metric.Hn_spf) with
+      Network.seed = 6;
+      record_series = false;
+      instant_flooding = false;
+      domains = 1 }
   in
-  let full = run false and inc = run true in
-  let rel a b = Float.abs (a -. b) /. Float.max a b in
-  (* Equal-cost ties may break differently, so outcomes agree only
-     statistically. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "throughput agrees (%.0f vs %.0f)"
-       full.Measure.internode_traffic_bps inc.Measure.internode_traffic_bps)
-    true
-    (rel full.Measure.internode_traffic_bps inc.Measure.internode_traffic_bps
-    < 0.02);
-  Alcotest.(check bool)
-    (Printf.sprintf "delay agrees (%.0f vs %.0f ms)"
-       full.Measure.round_trip_delay_ms inc.Measure.round_trip_delay_ms)
-    true
-    (rel full.Measure.round_trip_delay_ms inc.Measure.round_trip_delay_ms < 0.10)
+  (g, Network.create ~config g tm)
+
+let next_hop_id table dst =
+  Option.map (fun (l : Link.t) -> Link.id_to_int l.Link.id)
+    (Routing_table.next_hop table dst)
+
+let check_tables_match_beliefs ?(down = []) g net stage =
+  let enabled lid = not (List.exists (Link.id_equal lid) down) in
+  Graph.iter_nodes g (fun node ->
+      let fresh =
+        Routing_table.of_tree
+          (Dijkstra.compute ~enabled g ~cost:(Network.believed_cost net node)
+             node)
+      in
+      let table = Network.table net node in
+      Graph.iter_nodes g (fun dst ->
+          if next_hop_id table dst <> next_hop_id fresh dst then
+            Alcotest.failf "%s: %s's route to %s differs from a fresh SPF"
+              stage (Graph.node_name g node) (Graph.node_name g dst)))
+
+(* Once every flood has landed, all PSNs believe the same costs, so their
+   tables are consistent and forward every packet without a loop. *)
+let check_settled g net stage =
+  Graph.iter_links g (fun l ->
+      let c = Network.believed_cost net (Node.of_int 0) l.Link.id in
+      Graph.iter_nodes g (fun node ->
+          if Network.believed_cost net node l.Link.id <> c then
+            Alcotest.failf "%s: %s believes %a costs %d, not %d" stage
+              (Graph.node_name g node) Link.pp l
+              (Network.believed_cost net node l.Link.id) c));
+  let tables = Array.init (Graph.node_count g) (fun i ->
+      Network.table net (Node.of_int i))
+  in
+  Graph.iter_nodes g (fun src ->
+      Graph.iter_nodes g (fun dst ->
+          match Routing_table.trace_route tables ~src ~dst with
+          | Routing_table.Arrived _ -> ()
+          | bad ->
+            Alcotest.failf "%s: %a" stage (Routing_table.pp_trace g) bad))
+
+let test_network_incremental_spf_agrees () =
+  let g, net = hop_by_hop_arpanet () in
+  check_tables_match_beliefs g net "initial";
+  check_settled g net "initial";
+  (* Mid-flood (t = 60.05 s, just after a routing period) and settled
+     (5 s after one). *)
+  Network.run net ~duration_s:60.05;
+  check_tables_match_beliefs g net "mid-flood";
+  Network.run net ~duration_s:64.95;
+  check_tables_match_beliefs g net "settled";
+  check_settled g net "settled";
+  Alcotest.(check bool) "updates were flooded" true
+    (Routing_stats.Welford.count (Network.flood_latency_stats net) > 0)
+
+let test_network_incremental_survives_link_flap () =
+  let g, net = hop_by_hop_arpanet () in
+  Network.run net ~duration_s:65.;
+  let l = Arpanet.representative_link g in
+  let trunk = [ l.Link.id; (Graph.reverse g l).Link.id ] in
+  List.iter (fun lid -> Network.set_link_up net lid false) trunk;
+  check_tables_match_beliefs ~down:trunk g net "link down";
+  Network.run net ~duration_s:60.;
+  check_tables_match_beliefs ~down:trunk g net "down, settled";
+  check_settled g net "down, settled";
+  List.iter (fun lid -> Network.set_link_up net lid true) trunk;
+  check_tables_match_beliefs g net "link up";
+  Network.run net ~duration_s:60.;
+  check_tables_match_beliefs g net "up, settled";
+  check_settled g net "up, settled";
+  Alcotest.(check bool) "still delivering after flap cycle" true
+    (Network.delivered_packets net > 2000)
 
 (* --- Trace --- *)
 
@@ -512,29 +569,6 @@ let test_network_trace_captures_events () =
        (Network.trace_events net));
   Alcotest.(check bool) "dump renders" true
     (String.length (Network.dump_trace net) > 1000)
-
-let test_network_incremental_survives_link_flap () =
-  let g = Generators.ring 6 in
-  let tm = Traffic_matrix.uniform ~nodes:6 ~pair_bps:2000. in
-  let config =
-    { (Network.default_config Metric.Hn_spf) with
-      Network.seed = 13;
-      use_incremental_spf = true;
-      record_series = false }
-  in
-  let net = Network.create ~config g tm in
-  Network.run net ~duration_s:60.;
-  let l = (Graph.link g (Link.id_of_int 0)).Link.id in
-  (* Down: incremental engines are discarded, full recompute takes over. *)
-  Network.set_link_up net l false;
-  Network.run net ~duration_s:60.;
-  Network.set_link_up net l true;
-  Network.run net ~duration_s:120.;
-  Alcotest.(check bool) "still delivering after flap cycle" true
-    (Network.delivered_packets net > 2000);
-  Alcotest.(check bool) "loss stays low" true
-    (float_of_int (Network.dropped_packets net)
-    < 0.05 *. float_of_int (Network.generated_packets net))
 
 let test_network_deterministic () =
   let run () =

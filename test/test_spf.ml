@@ -1,46 +1,12 @@
 (* Unit and property tests for the routing_spf library. *)
 
 open Routing_topology
-module Pq = Routing_spf.Priority_queue
 module Rq = Routing_spf.Radix_queue
 module Dijkstra = Routing_spf.Dijkstra
 module Spf_tree = Routing_spf.Spf_tree
-module Incremental = Routing_spf.Incremental
+module Spf_repair = Routing_spf.Spf_repair
 module Routing_table = Routing_spf.Routing_table
 module Rng = Routing_stats.Rng
-
-(* --- Priority queue --- *)
-
-let test_pq_ordering () =
-  let q = Pq.create ~compare:Int.compare in
-  List.iter (fun (p, v) -> Pq.push q p v) [ (5, "e"); (1, "a"); (3, "c"); (2, "b") ];
-  Alcotest.(check int) "length" 4 (Pq.length q);
-  let order = List.init 4 (fun _ -> snd (Option.get (Pq.pop_min q))) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c"; "e" ] order;
-  Alcotest.(check bool) "empty" true (Pq.is_empty q)
-
-let test_pq_peek_and_clear () =
-  let q = Pq.create ~compare:Int.compare in
-  Pq.push q 2 "x";
-  Pq.push q 1 "y";
-  (match Pq.peek_min q with
-  | Some (1, "y") -> ()
-  | _ -> Alcotest.fail "peek should see minimum");
-  Pq.clear q;
-  Alcotest.(check bool) "cleared" true (Pq.is_empty q)
-
-let prop_pq_sorts =
-  QCheck2.Test.make ~name:"pop order is sorted" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 1000))
-    (fun xs ->
-      let q = Pq.create ~compare:Int.compare in
-      List.iter (fun x -> Pq.push q x x) xs;
-      let rec drain acc =
-        match Pq.pop_min q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.sort Int.compare xs)
 
 (* --- radix queue --- *)
 
@@ -81,20 +47,30 @@ let test_radix_clear () =
 
 (* The queue only promises anything for monotone sequences (every push at
    or above the last popped key) — exactly what Dijkstra and the repair
-   loop produce.  Against a model [Priority_queue] ordered by (key, tie),
-   random interleavings of pushes and pops must agree pop for pop.  Ties
-   are made unique so the comparison is exact, not set-valued. *)
-let prop_radix_matches_priority_queue =
-  QCheck2.Test.make ~name:"radix queue = priority queue (monotone ops)"
+   loop produce.  Against a model list kept sorted by (key, tie), random
+   interleavings of pushes and pops must agree pop for pop.  Ties are made
+   unique so the comparison is exact, not set-valued. *)
+let prop_radix_matches_sorted_model =
+  QCheck2.Test.make ~name:"radix queue = sorted-list model (monotone ops)"
     ~count:300
     QCheck2.Gen.(
       list_size (int_range 0 300)
         (pair (option (int_range 0 2000)) (int_range 0 9)))
     (fun ops ->
       let q = Rq.create () in
-      let model =
-        Pq.create ~compare:(fun (k1, t1) (k2, t2) ->
-            if k1 <> k2 then Int.compare k1 k2 else Int.compare t1 t2)
+      let model = ref [] in
+      let pop_model () =
+        match !model with
+        | [] -> None
+        | e :: rest ->
+          model := rest;
+          Some e
+      in
+      let agree () =
+        match (Rq.pop_min q, pop_model ()) with
+        | None, None -> Some None
+        | Some e, Some e' when e = e' -> Some (Some e)
+        | _ -> None
       in
       let last = ref 0 in
       let ok = ref true in
@@ -104,21 +80,18 @@ let prop_radix_matches_priority_queue =
           | Some delta ->
             let key = !last + delta and tie = (r * 1_000_000) + i in
             Rq.push q ~key ~tie i;
-            Pq.push model (key, tie) i
+            model := List.merge compare !model [ (key, tie, i) ]
           | None -> (
-            match (Rq.pop_min q, Pq.pop_min model) with
-            | None, None -> ()
-            | Some (k, t, v), Some ((k', t'), v') ->
-              last := k;
-              if not (k = k' && t = t' && v = v') then ok := false
-            | _ -> ok := false))
+            match agree () with
+            | Some (Some (k, _, _)) -> last := k
+            | Some None -> ()
+            | None -> ok := false))
         ops;
       let rec drain () =
-        match (Rq.pop_min q, Pq.pop_min model) with
-        | None, None -> ()
-        | Some (k, t, v), Some ((k', t'), v') ->
-          if k = k' && t = t' && v = v' then drain () else ok := false
-        | _ -> ok := false
+        match agree () with
+        | Some (Some _) -> drain ()
+        | Some None -> ()
+        | None -> ok := false
       in
       drain ();
       !ok)
@@ -331,34 +304,57 @@ let test_tree_paths_and_next_hop () =
   Alcotest.(check bool) "destinations_via includes D" true
     (List.exists (Node.equal d) via)
 
-(* --- Incremental SPF --- *)
+(* --- Incremental SPF: in-place tree repair --- *)
+
+(* Set one link's composite weight ([-1] disables it) and repair [tree]
+   over the change, as a PSN does on each routing update it accepts.
+   Returns the number of nodes re-settled. *)
+let set_weight s g ~tree weights lid w =
+  let i = Link.id_to_int lid in
+  let old_w = weights.(i) in
+  weights.(i) <- w;
+  Spf_repair.repair s g ~tree ~weights ~changes:[ (lid, old_w, w) ]
 
 let test_incremental_ignores_irrelevant_increase () =
   let g = diamond () in
   let a = node g "A" and d = node g "D" in
-  let inc = Incremental.create g ~root:a ~initial_cost:(constant_cost 10) in
+  let weights = Dijkstra.compute_weights g ~cost:(constant_cost 10) in
+  let tree = Dijkstra.compute_flat g ~weights a in
   (* Direct link is in the tree; a non-tree link's increase must be free. *)
   let non_tree =
     Graph.links g
     |> List.find (fun (l : Link.t) ->
            Node.equal l.Link.src d && not (Node.equal l.Link.dst a))
   in
-  Incremental.set_cost inc non_tree.Link.id 200;
-  let stats = Incremental.stats inc in
-  Alcotest.(check int) "no recompute" 0 stats.Incremental.full_recomputes;
-  Alcotest.(check int) "update ignored" 1 stats.Incremental.updates_ignored
+  let resettled =
+    set_weight (Spf_repair.scratch ()) g ~tree weights non_tree.Link.id
+      (Dijkstra.cost_weight 200)
+  in
+  Alcotest.(check int) "nothing re-settled" 0 resettled;
+  Alcotest.(check bool) "tree unchanged" true
+    (Spf_tree.equal tree (Dijkstra.compute_flat g ~weights a))
 
 let test_incremental_tracks_change () =
   let g = diamond () in
   let a = node g "A" and d = node g "D" in
   let direct = Option.get (Graph.find_link g ~src:a ~dst:d) in
-  let inc = Incremental.create g ~root:a ~initial_cost:(constant_cost 10) in
-  Alcotest.(check int) "initial" 10 (Incremental.dist inc d);
-  Incremental.set_cost inc direct.Link.id 50;
-  Alcotest.(check int) "after increase, detour" 20 (Incremental.dist inc d);
-  Incremental.set_cost inc direct.Link.id 5;
-  Alcotest.(check int) "after decrease, direct again" 5 (Incremental.dist inc d)
+  let weights = Dijkstra.compute_weights g ~cost:(constant_cost 10) in
+  let tree = Dijkstra.compute_flat g ~weights a in
+  let s = Spf_repair.scratch () in
+  let set c =
+    ignore
+      (set_weight s g ~tree weights direct.Link.id (Dijkstra.cost_weight c))
+  in
+  Alcotest.(check int) "initial" 10 (Spf_tree.dist tree d);
+  set 50;
+  Alcotest.(check int) "after increase, detour" 20 (Spf_tree.dist tree d);
+  set 5;
+  Alcotest.(check int) "after decrease, direct again" 5 (Spf_tree.dist tree d)
 
+(* Random single-link updates, disables and re-enables: after every one
+   the repaired tree equals a fresh Dijkstra — distances, hop counts and
+   parents.  Half the graphs draw costs from 1..4, so equal-cost ties (and
+   the repair's parent-only patches) are common. *)
 let prop_incremental_matches_full =
   QCheck2.Test.make ~name:"incremental = full recompute over update sequences"
     ~count:40
@@ -366,55 +362,63 @@ let prop_incremental_matches_full =
     (fun seed ->
       let g = random_graph seed in
       let rng = Rng.create (seed * 31 + 1) in
-      let costs = Array.init (Graph.link_count g) (fun _ -> 1 + Rng.int rng 60) in
+      let nl = Graph.link_count g in
+      let range = if seed mod 2 = 0 then 4 else 60 in
+      let costs = Array.init nl (fun _ -> 1 + Rng.int rng range) in
+      let up = Array.make nl true in
       let root = Node.of_int (Rng.int rng (Graph.node_count g)) in
-      let inc =
-        Incremental.create g ~root ~initial_cost:(fun l ->
-            costs.(Link.id_to_int l))
+      let weights =
+        Dijkstra.compute_weights g ~cost:(fun l -> costs.(Link.id_to_int l))
       in
+      let tree = Dijkstra.compute_flat g ~weights root in
+      let s = Spf_repair.scratch () in
       let ok = ref true in
       for _ = 1 to 30 do
-        let lid = Rng.int rng (Graph.link_count g) in
-        let c = 1 + Rng.int rng 60 in
-        costs.(lid) <- c;
-        Incremental.set_cost inc (Link.id_of_int lid) c;
+        let lid = Rng.int rng nl in
+        (match Rng.int rng 4 with
+        | 0 -> up.(lid) <- not up.(lid)
+        | _ -> costs.(lid) <- 1 + Rng.int rng range);
+        let w = if up.(lid) then Dijkstra.cost_weight costs.(lid) else -1 in
+        ignore (set_weight s g ~tree weights (Link.id_of_int lid) w);
         let fresh =
-          Dijkstra.compute g ~cost:(fun l -> costs.(Link.id_to_int l)) root
+          Dijkstra.compute g
+            ~enabled:(fun l -> up.(Link.id_to_int l))
+            ~cost:(fun l -> costs.(Link.id_to_int l))
+            root
         in
-        Graph.iter_nodes g (fun n ->
-            let a = Incremental.dist inc n in
-            let b =
-              if Spf_tree.reached fresh n then Spf_tree.dist fresh n else max_int
-            in
-            if a <> b then ok := false)
+        if not (Spf_tree.equal tree fresh) then ok := false
       done;
       !ok)
 
 (* §2.2's motivation quantified: most cost changes on a mesh do not touch
-   a given node's tree, so incremental SPF skips them outright. *)
+   a given node's tree, so the repair settles nothing for them. *)
 let test_incremental_skip_rate () =
   let g = Routing_topology.Arpanet.topology () in
   let rng = Rng.create 3 in
   let costs = Array.make (Graph.link_count g) 30 in
-  let inc =
-    Incremental.create g ~root:(Node.of_int 0) ~initial_cost:(fun l ->
-        costs.(Link.id_to_int l))
-  in
+  let weights = Dijkstra.compute_weights g ~cost:(constant_cost 30) in
+  let root = Node.of_int 0 in
+  let tree = Dijkstra.compute_flat g ~weights root in
+  let s = Spf_repair.scratch () in
+  let skipped = ref 0 in
   for _ = 1 to 500 do
     let lid = Rng.int rng (Graph.link_count g) in
     (* Increases only: the provable-skip case. *)
     let c = min 254 (costs.(lid) + 1 + Rng.int rng 40) in
     costs.(lid) <- c;
-    Incremental.set_cost inc (Link.id_of_int lid) c
+    if
+      set_weight s g ~tree weights (Link.id_of_int lid) (Dijkstra.cost_weight c)
+      = 0
+    then incr skipped
   done;
-  let stats = Incremental.stats inc in
   Alcotest.(check bool)
-    (Printf.sprintf "majority of increases ignored (%d/500)" stats.Incremental.updates_ignored)
+    (Printf.sprintf "majority of increases settle nothing (%d/500)" !skipped)
     true
     (* ~39%% of links are on the probe tree, so ~61%% of random increases
        are provably irrelevant. *)
-    (stats.Incremental.updates_ignored > 250);
-  Alcotest.(check int) "never a full rebuild" 0 stats.Incremental.full_recomputes
+    (!skipped > 250);
+  Alcotest.(check bool) "still exact" true
+    (Spf_tree.equal tree (Dijkstra.compute_flat g ~weights root))
 
 (* --- Routing tables --- *)
 
@@ -453,19 +457,52 @@ let prop_consistent_tables_are_loop_free =
                   ok := false));
       !ok)
 
+(* A table refreshed in place after each tree repair reads exactly like a
+   table built fresh from the repaired tree. *)
+let prop_refresh_matches_of_tree =
+  QCheck2.Test.make ~name:"in-place refresh = of_tree" ~count:40
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Rng.create (seed + 17) in
+      let nl = Graph.link_count g in
+      let root = Node.of_int (Rng.int rng (Graph.node_count g)) in
+      let weights = Dijkstra.compute_weights g ~cost:(random_costs seed g) in
+      let tree = Dijkstra.compute_flat g ~weights root in
+      let table = Routing_table.of_tree tree in
+      let s = Spf_repair.scratch () in
+      let same () =
+        let fresh = Routing_table.of_tree tree in
+        List.for_all
+          (fun n ->
+            Option.map (fun (l : Link.t) -> l.Link.id)
+              (Routing_table.next_hop table n)
+            = Option.map (fun (l : Link.t) -> l.Link.id)
+                (Spf_tree.next_hop tree n)
+            && Routing_table.next_hop table n = Routing_table.next_hop fresh n)
+          (Graph.nodes g)
+      in
+      let ok = ref (same ()) in
+      for _ = 1 to 20 do
+        let lid = Rng.int rng nl in
+        let w =
+          if Rng.int rng 5 = 0 then -1 else Dijkstra.cost_weight (1 + Rng.int rng 60)
+        in
+        ignore (set_weight s g ~tree weights (Link.id_of_int lid) w);
+        Routing_table.refresh table tree;
+        if not (same ()) then ok := false
+      done;
+      !ok)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_spf"
-    [ ( "priority_queue",
-        [ Alcotest.test_case "ordering" `Quick test_pq_ordering;
-          Alcotest.test_case "peek/clear" `Quick test_pq_peek_and_clear ]
-        @ qsuite [ prop_pq_sorts ] );
-      ( "radix_queue",
+    [ ( "radix_queue",
         [ Alcotest.test_case "ordering" `Quick test_radix_ordering;
           Alcotest.test_case "monotone floor" `Quick
             test_radix_rejects_non_monotone;
           Alcotest.test_case "clear" `Quick test_radix_clear ]
-        @ qsuite [ prop_radix_matches_priority_queue ] );
+        @ qsuite [ prop_radix_matches_sorted_model ] );
       ( "dijkstra",
         [ Alcotest.test_case "direct wins" `Quick test_dijkstra_direct_wins;
           Alcotest.test_case "reroutes" `Quick
@@ -491,4 +528,5 @@ let () =
         @ qsuite [ prop_incremental_matches_full ] );
       ( "routing_table",
         [ Alcotest.test_case "traces" `Quick test_routing_table_traces ]
-        @ qsuite [ prop_consistent_tables_are_loop_free ] ) ]
+        @ qsuite [ prop_consistent_tables_are_loop_free ] );
+      ("in_place_table", qsuite [ prop_refresh_matches_of_tree ]) ]
