@@ -22,7 +22,6 @@ module Telemetry = Routing_obs.Telemetry
 module Tracer = Routing_obs.Tracer
 module Trace_export = Routing_obs.Trace_export
 module Obs_sink = Routing_obs.Sink
-module Obs_span = Routing_obs.Span
 module Obs_metrics = Routing_obs.Metrics
 module Script = Routing_sim.Script
 module Checker = Routing_check.Checker
@@ -162,6 +161,29 @@ let out_path base kind ~multi =
     end
   end
 
+(* Under --profile the whole run is one top-level span, so its self time
+   is the wall time no simulator span accounts for. *)
+let in_run_span telemetry ~profile f =
+  match telemetry with
+  | Some tele when profile ->
+    let tr = Telemetry.tracer tele in
+    let id = Tracer.intern tr "run" in
+    Tracer.span_begin tr id;
+    let o = f () in
+    Tracer.span_end tr id;
+    o
+  | _ -> f ()
+
+let print_profile name tracer =
+  let d = Trace_export.profile tracer in
+  Format.printf "@.%s wall-time profile (flight recorder):@.%a@." name
+    Trace_export.pp_profile d;
+  match List.find_opt (fun r -> r.Trace_export.name = "run") d.spans with
+  | Some r when r.total > 0. ->
+    Format.printf "unaccounted: %.2f ms of the %.2f ms run (%.1f%%)@."
+      (r.self /. 1e3) (r.total /. 1e3) (100. *. r.self /. r.total)
+  | _ -> ()
+
 let pp_spf_stats ppf (name, (s : Spf_engine.stats)) =
   Format.fprintf ppf
     "  %-16s %d refreshes (%d skipped, %d full sweeps); sources: %d \
@@ -202,18 +224,15 @@ let main topology file dump dot metrics scale minutes warmup packet_level seed
         | None -> Obs_sink.null
         | Some path -> Obs_sink.file (out_path path kind ~multi)
       in
-      let clock = if profile then Obs_span.wall else Obs_span.untimed in
-      (* The flight recorder shares --profile's clock choice: wall time
-         for a real profile, untimed (deterministic) otherwise. *)
+      (* The flight recorder is the profile: --profile records on a wall
+         clock (with or without --chrome-trace); a trace alone stays
+         untimed, so its bytes are deterministic. *)
       let tracer =
-        match chrome_trace with
-        | None -> Tracer.null
-        | Some _ ->
-          Tracer.create
-            ~clock:(if profile then Tracer.Wall else Tracer.Untimed)
-            ()
+        if profile then Tracer.create ~clock:Tracer.Wall ()
+        else if chrome_trace <> None then Tracer.create ~clock:Tracer.Untimed ()
+        else Tracer.null
       in
-      let tele = Telemetry.create ~sink ~clock ~tracer ~gc:profile () in
+      let tele = Telemetry.create ~sink ~tracer ~gc:profile () in
       let m = Telemetry.metrics tele in
       Obs_metrics.set_meta m "topology" topo_name;
       Obs_metrics.set_meta m "metric" (Metric.kind_name kind);
@@ -232,12 +251,13 @@ let main topology file dump dot metrics scale minutes warmup packet_level seed
       (fun kind ->
         let telemetry = telemetry_for kind in
         let o =
-          if packet_level then
-            run_packet g tm kind ~domains ~minutes ~warmup_minutes:warmup ~seed
-              ?telemetry ()
-          else
-            run_flow g tm kind ~domains ~minutes ~warmup_minutes:warmup
-              ?telemetry ()
+          in_run_span telemetry ~profile (fun () ->
+              if packet_level then
+                run_packet g tm kind ~domains ~minutes ~warmup_minutes:warmup
+                  ~seed ?telemetry ()
+              else
+                run_flow g tm kind ~domains ~minutes ~warmup_minutes:warmup
+                  ?telemetry ())
         in
         Option.iter
           (fun tele ->
@@ -266,8 +286,7 @@ let main topology file dump dot metrics scale minutes warmup packet_level seed
                 path (Tracer.slots tr) (Tracer.dropped tr)
             | None -> ());
             if profile then
-              Format.printf "@.%s wall-time profile:@.%a@."
-                (Metric.kind_name kind) Obs_span.pp (Telemetry.spans tele))
+              print_profile (Metric.kind_name kind) (Telemetry.tracer tele))
           telemetry;
         (Metric.kind_name kind, o))
       metrics
@@ -349,7 +368,8 @@ let cmd =
     Arg.(value & opt (some string) None
          & info [ "metrics-out" ] ~docv:"FILE.json"
              ~doc:"Write the end-of-run metrics snapshot (counters, gauges, \
-                   per-link cost/utilization series, span timings) to $(docv).")
+                   per-link cost/utilization series, oscillation summary) \
+                   to $(docv).")
   in
   let chrome_trace =
     Arg.(value & opt (some string) None
@@ -366,10 +386,13 @@ let cmd =
   let profile =
     Arg.(value & flag
          & info [ "profile" ]
-             ~doc:"Time SPF refreshes, flooding rounds and routing periods \
-                   with a wall clock and print the profile table.  Makes \
-                   $(b,--metrics-out) output nondeterministic (real \
-                   durations); without it span durations are recorded as 0.")
+             ~doc:"Flight-record the run on a wall clock and print its span \
+                   table: count, total, self, mean, p50/p95/p99 and max per \
+                   span, with the whole run as one $(b,run) span whose self \
+                   time is the unaccounted share, and the recorder's \
+                   dropped-event count.  $(b,replay) of a \
+                   $(b,--chrome-trace) from the same run prints the same \
+                   table.  Adds GC counters to $(b,--metrics-out).")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")

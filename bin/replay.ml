@@ -14,8 +14,9 @@
    naming the event type (see lib/sim/trace.mli).  A file ending in
    `.trace.json` is treated as a Chrome trace-event flight recording (see
    lib/obs/trace_export.mli): the digest prints per-track event counts and
-   per-span-name total durations, and a malformed or empty trace exits 1 —
-   CI uses this to validate sweep flight recordings. *)
+   the same span table `arpanet_sim --profile` prints, and a malformed or
+   empty trace exits 1 — CI uses this to validate sweep flight
+   recordings. *)
 
 open Routing_topology
 module Script = Routing_sim.Script

@@ -246,9 +246,9 @@ let mutable_constructs =
   [ "= ref "; "Hashtbl.create"; "Queue.create"; "Buffer.create";
     "Atomic.make" ]
 
-let span_clock_file path =
+let wall_clock_file path =
   Filename.basename (Filename.dirname path) = "obs"
-  && Filename.basename path = "span.ml"
+  && Filename.basename path = "tracer.ml"
 
 let scan_file ~in_spf_closure path =
   match read_file path with
@@ -267,11 +267,11 @@ let scan_file ~in_spf_closure path =
              or parallel runs stop being reproducible";
         if
           (contains line "Unix.gettimeofday" || contains line "Sys.time")
-          && not (span_clock_file path)
+          && not (wall_clock_file path)
         then
           add ~line:lineno ~code:"L002"
-            "wall-clock read outside lib/obs/span.ml: route timing through \
-             the pluggable Span clock so runs stay deterministic";
+            "wall-clock read outside lib/obs/tracer.ml: route timing through \
+             the Tracer clock so runs stay deterministic";
         if in_spf_closure && is_toplevel_let line then
           List.iter
             (fun needle ->

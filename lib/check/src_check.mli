@@ -13,8 +13,8 @@ open! Import
       seeds must be explicit ({!Routing_stats.Rng}) or runs stop being
       reproducible
     - [L002] (error) — [Unix.gettimeofday] or [Sys.time] outside the
-      span clock ([lib/obs/span.ml]): wall-clock reads belong behind
-      the pluggable {!Routing_obs.Span} clock
+      flight recorder ([lib/obs/tracer.ml]): wall-clock reads belong
+      behind the {!Routing_obs.Tracer} clock
     - [L003] (error) — top-level mutable state ([ref], [Hashtbl.create],
       [Queue.create], [Buffer.create], [Atomic.make] in a toplevel
       [let]) in a library reachable from [routing_spf]'s dune

@@ -85,7 +85,7 @@ val merge : into:t -> t -> unit
 
 val to_json : ?extra:(string * Json.t) list -> t -> Json.t
 (** The full snapshot; [extra] appends additional top-level fields (the
-    span profile, say) after ["meta"] and ["metrics"]. *)
+    oscillation summary, say) after ["meta"] and ["metrics"]. *)
 
 val write_file : ?extra:(string * Json.t) list -> t -> string -> unit
 (** Pretty-printed {!to_json} plus a trailing newline. *)

@@ -1,7 +1,6 @@
 type t = {
   metrics : Metrics.t;
   sink : Sink.t;
-  spans : Span.t;
   tracer : Tracer.t;
   gc : bool;
   osc_window_s : float;
@@ -9,11 +8,10 @@ type t = {
   mutable osc : Oscillation.t option;
 }
 
-let create ?(sink = Sink.null) ?(clock = Span.untimed) ?(tracer = Tracer.null)
-    ?(gc = false) ?(osc_window_s = 120.) ?(osc_max_flips = 4) () =
+let create ?(sink = Sink.null) ?(tracer = Tracer.null) ?(gc = false)
+    ?(osc_window_s = 120.) ?(osc_max_flips = 4) () =
   { metrics = Metrics.create ();
     sink;
-    spans = Span.create ~clock ();
     tracer;
     gc;
     osc_window_s;
@@ -23,8 +21,6 @@ let create ?(sink = Sink.null) ?(clock = Span.untimed) ?(tracer = Tracer.null)
 let metrics t = t.metrics
 
 let sink t = t.sink
-
-let spans t = t.spans
 
 let tracer t = t.tracer
 
@@ -58,8 +54,7 @@ let snapshot_json t =
   in
   Metrics.to_json t.metrics
     ~extra:
-      [ ("spans", Span.to_json t.spans);
-        ("oscillation", osc_json);
+      [ ("oscillation", osc_json);
         ("events_emitted", Json.Int (Sink.emitted t.sink)) ]
 
 let write_metrics t path =

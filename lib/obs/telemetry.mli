@@ -1,5 +1,5 @@
-(** The bundle a simulator carries: one registry, one event sink, one span
-    profile, and (once the simulator declares its link count) one
+(** The bundle a simulator carries: one registry, one event sink, one
+    flight recorder, and (once the simulator declares its link count) one
     oscillation detector.
 
     Simulators accept [?telemetry] and do nothing when it is absent — the
@@ -11,16 +11,15 @@ type t
 
 val create :
   ?sink:Sink.t ->
-  ?clock:Span.clock ->
   ?tracer:Tracer.t ->
   ?gc:bool ->
   ?osc_window_s:float ->
   ?osc_max_flips:int ->
   unit ->
   t
-(** [sink] defaults to {!Sink.null}; [clock] to {!Span.untimed} (so span
-    durations stay deterministic — pass {!Span.wall} for a real profile);
-    [tracer] to {!Tracer.null} (pass a live one to flight-record the run).
+(** [sink] defaults to {!Sink.null}; [tracer] to {!Tracer.null} (pass a
+    live one to flight-record the run — with a {!Tracer.Wall} clock it is
+    also the run's wall-time profile, see {!Trace_export.profile}).
     [gc] turns on {!Gc_account} sections around routing periods and major
     phases (default off: GC counters are compiler-version-dependent, so
     deterministic-artifact tests keep them out).  The oscillation
@@ -29,8 +28,6 @@ val create :
 val metrics : t -> Metrics.t
 
 val sink : t -> Sink.t
-
-val spans : t -> Span.t
 
 val tracer : t -> Tracer.t
 
@@ -44,8 +41,8 @@ val init_oscillation : t -> links:int -> Oscillation.t
 val oscillation : t -> Oscillation.t option
 
 val snapshot_json : t -> Json.t
-(** Metrics snapshot with the span profile and oscillation summary
-    appended — what [--metrics-out] writes. *)
+(** Metrics snapshot with the oscillation summary and the sink's event
+    count appended — what [--metrics-out] writes. *)
 
 val write_metrics : t -> string -> unit
 

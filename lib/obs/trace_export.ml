@@ -91,31 +91,23 @@ let write_chrome t path =
       output_string oc (Json.to_string (chrome_json t));
       output_char oc '\n')
 
-let to_sink t sink =
-  for slot = 0 to Tracer.slots t - 1 do
-    Tracer.iter_slot t slot (fun ~ts ~kind ~name ~a ~b ->
-        Sink.emit sink (fun () ->
-            Json.Obj
-              [ ("ev", Json.String "trace");
-                ("track", Json.Int slot);
-                ("ts", ts_json t ts);
-                ("ph",
-                 Json.String
-                   (match kind with
-                   | Tracer.Begin -> "B"
-                   | Tracer.End -> "E"
-                   | Tracer.Instant -> "i"
-                   | Tracer.Counter -> "C"));
-                ("name", Json.String (Tracer.name t name));
-                ("a", Json.Int a);
-                ("b", Json.Int b) ]))
-  done
+type span_row = {
+  name : string;
+  count : int;
+  total : float;
+  self : float;
+  p50 : float;
+  p95 : float;
+  p99 : float;
+  max : float;
+}
 
 type digest = {
   tracks : (int * int) list;
-  span_totals : (string * float) list;
+  spans : span_row list;
   total_events : int;
   dropped : int;
+  timed : bool;
 }
 
 let num = function
@@ -123,16 +115,63 @@ let num = function
   | Json.Float f -> f
   | _ -> 0.
 
+(* Per-name accumulator: every closed span's duration (for exact
+   percentiles) and the summed self time. *)
+type acc = {
+  mutable durations : float list;
+  mutable sum : float;
+  mutable self_sum : float;
+}
+
+(* An open span on a track's stack; [children] sums the durations of the
+   spans closed directly inside it. *)
+type frame = { fname : string; t0 : float; mutable children : float }
+
+(* Nearest-rank percentile of a sorted array: the smallest value with at
+   least [pct] % of the observations at or below it. *)
+let rank sorted pct =
+  let n = Array.length sorted in
+  sorted.(Stdlib.max 0 (((pct * n) + 99) / 100 - 1))
+
+let row name a =
+  let sorted = Array.of_list a.durations in
+  Array.sort Float.compare sorted;
+  { name;
+    count = Array.length sorted;
+    total = a.sum;
+    self = a.self_sum;
+    p50 = rank sorted 50;
+    p95 = rank sorted 95;
+    p99 = rank sorted 99;
+    max = sorted.(Array.length sorted - 1) }
+
 let digest json =
   match Json.member "traceEvents" json with
   | Error e -> Error e
   | Ok (Json.List evs) ->
     let counts : (int, int ref) Hashtbl.t = Hashtbl.create 8 in
-    let stacks : (int, (string * float) list ref) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    let totals : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
+    let stacks : (int, frame list ref) Hashtbl.t = Hashtbl.create 8 in
+    let spans : (string, acc) Hashtbl.t = Hashtbl.create 16 in
     let total = ref 0 in
+    let close stack ts =
+      match !stack with
+      | [] -> ()
+      | f :: rest ->
+        stack := rest;
+        let d = ts -. f.t0 in
+        (match rest with p :: _ -> p.children <- p.children +. d | [] -> ());
+        let a =
+          match Hashtbl.find_opt spans f.fname with
+          | Some a -> a
+          | None ->
+            let a = { durations = []; sum = 0.; self_sum = 0. } in
+            Hashtbl.add spans f.fname a;
+            a
+        in
+        a.durations <- d :: a.durations;
+        a.sum <- a.sum +. d;
+        a.self_sum <- a.self_sum +. (d -. f.children)
+    in
     List.iter
       (fun ev ->
         let str key =
@@ -160,45 +199,54 @@ let digest json =
             match Json.member "ts" ev with Ok v -> num v | Error _ -> 0.
           in
           match ph with
-          | "B" -> stack := (str "name", ts) :: !stack
-          | "E" -> (
-            match !stack with
-            | [] -> ()
-            | (name, t0) :: rest ->
-              stack := rest;
-              let d = ts -. t0 in
-              (match Hashtbl.find_opt totals name with
-              | Some r -> r := !r +. d
-              | None -> Hashtbl.add totals name (ref d)))
+          | "B" -> stack := { fname = str "name"; t0 = ts; children = 0. } :: !stack
+          | "E" -> close stack ts
           | _ -> ()
         end)
       evs;
-    let dropped =
-      match Json.member "otherData" json with
-      | Ok od -> (
-        match Json.member "dropped" od with Ok (Json.Int i) -> i | _ -> 0)
-      | Error _ -> 0
+    let other key =
+      Result.bind (Json.member "otherData" json) (Json.member key)
+    in
+    let dropped = match other "dropped" with Ok (Json.Int i) -> i | _ -> 0 in
+    let timed =
+      match other "clock" with Ok (Json.String "untimed") -> false | _ -> true
     in
     let tracks =
       Hashtbl.fold (fun tid r acc -> (tid, !r) :: acc) counts []
       |> List.sort compare
     in
-    let span_totals =
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) totals []
-      |> List.sort compare
+    let spans =
+      Hashtbl.fold (fun name a acc -> row name a :: acc) spans []
+      |> List.sort (fun a b -> String.compare a.name b.name)
     in
-    Ok { tracks; span_totals; total_events = !total; dropped }
+    Ok { tracks; spans; total_events = !total; dropped; timed }
   | Ok _ -> Error "traceEvents is not a list"
 
+let profile t =
+  match digest (chrome_json t) with
+  | Ok d -> d
+  | Error e -> invalid_arg ("Trace_export.profile: " ^ e)
+
+(* Timed traces carry microseconds: totals print in ms, the per-span
+   figures in us.  Untimed ones carry sequence numbers, printed as is. *)
+let pp_profile ppf d =
+  let ms, big, small = if d.timed then (1e-3, " ms", " us") else (1., "", "") in
+  Format.fprintf ppf "@[<v>%-24s %8s %12s %12s %10s %10s %10s %10s %10s"
+    "span" "count" ("total" ^ big) ("self" ^ big) ("mean" ^ small)
+    ("p50" ^ small) ("p95" ^ small) ("p99" ^ small) ("max" ^ small);
+  List.iter
+    (fun r ->
+      Format.fprintf ppf
+        "@,%-24s %8d %12.2f %12.2f %10.1f %10.1f %10.1f %10.1f %10.1f" r.name
+        r.count (ms *. r.total) (ms *. r.self)
+        (r.total /. float_of_int r.count)
+        r.p50 r.p95 r.p99 r.max)
+    (List.sort (fun a b -> Float.compare b.total a.total) d.spans);
+  Format.fprintf ppf "@,dropped events: %d@]" d.dropped
+
 let pp_digest ppf d =
-  Format.fprintf ppf "@[<v>events: %d  dropped: %d" d.total_events d.dropped;
+  Format.fprintf ppf "@[<v>events: %d" d.total_events;
   List.iter
     (fun (tid, n) -> Format.fprintf ppf "@,track %d: %d events" tid n)
     d.tracks;
-  if d.span_totals <> [] then begin
-    Format.fprintf ppf "@,span totals:";
-    List.iter
-      (fun (name, t) -> Format.fprintf ppf "@,  %-24s %.6g" name t)
-      d.span_totals
-  end;
-  Format.fprintf ppf "@]"
+  Format.fprintf ppf "@,%a@]" pp_profile d

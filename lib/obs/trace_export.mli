@@ -7,12 +7,12 @@
     and the output is byte-deterministic; under wall clocks timestamps
     are microseconds.
 
-    {!to_sink} writes the same events as JSONL through an existing
-    {!Sink}, one object per line, for the [replay] tooling.
-
     {!digest} summarizes a parsed Chrome trace without a browser: event
-    counts per track and total span time per name (begin/end pairs
-    matched per track, innermost-first). *)
+    counts per track and one row of span statistics per name (begin/end
+    pairs matched per track, innermost-first).  {!profile} is the digest
+    of a live tracer's export, so [arpanet_sim --profile] and
+    [replay FILE.trace.json] compute their tables through the same
+    pairing. *)
 
 val chrome_json : Tracer.t -> Json.t
 (** The complete trace object: [{"traceEvents": [...], ...}].  Includes
@@ -22,17 +22,27 @@ val chrome_json : Tracer.t -> Json.t
 val write_chrome : Tracer.t -> string -> unit
 (** Serialize {!chrome_json} to a file. *)
 
-val to_sink : Tracer.t -> Sink.t -> unit
-(** Emit every retained event as one JSONL object
-    [{"ev":"trace","track":t,"ts":…,"ph":…,"name":…,…}]. *)
+type span_row = {
+  name : string;
+  count : int;  (** closed spans *)
+  total : float;  (** summed begin→end duration *)
+  self : float;
+      (** [total] minus the time spent in spans closed directly inside
+          it on the same track *)
+  p50 : float;  (** exact nearest-rank percentiles of the durations *)
+  p95 : float;
+  p99 : float;
+  max : float;
+}
+(** Durations are in the trace's own time unit: microseconds under a
+    wall or custom clock, sequence steps under {!Tracer.Untimed}. *)
 
 type digest = {
   tracks : (int * int) list;  (** (tid, event count), sorted by tid *)
-  span_totals : (string * float) list;
-      (** per-name summed begin→end duration in the trace's own time
-          unit, sorted by name *)
+  spans : span_row list;  (** sorted by name *)
   total_events : int;  (** events across all tracks, metadata excluded *)
   dropped : int;  (** drop count recorded at export time, if present *)
+  timed : bool;  (** timestamps are microseconds, not sequence numbers *)
 }
 
 val digest : Json.t -> (digest, string) result
@@ -40,4 +50,13 @@ val digest : Json.t -> (digest, string) result
     or not a list; unknown phases are counted but otherwise ignored;
     unmatched begins/ends are tolerated. *)
 
+val profile : Tracer.t -> digest
+(** [digest (chrome_json t)]: the span table of a live recording. *)
+
+val pp_profile : Format.formatter -> digest -> unit
+(** The span table, by descending total: count, total, self, mean,
+    p50/p95/p99 and max, then the recorder's dropped-event count (a
+    wrapped ring makes the table short, and says so). *)
+
 val pp_digest : Format.formatter -> digest -> unit
+(** Event and per-track counts, then {!pp_profile}. *)

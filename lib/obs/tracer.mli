@@ -15,7 +15,7 @@
 
     Export is offline: {!iter_slot} walks one ring oldest-to-newest, and
     {!Trace_export} turns the whole tracer into Chrome trace-event JSON
-    or JSONL. *)
+    and reads span statistics back out of it. *)
 
 type t
 

@@ -363,19 +363,6 @@ let spf_stats t = Spf_engine.stats t.engine
 
 let telemetry t = Option.map (fun o -> o.tele) t.obs
 
-(* Closure-free span recording: take a clock reading, run straight-line
-   code, record under a static name.  With no bundle attached each hook is
-   one branch. *)
-let[@inline] span_start t =
-  match t.obs with
-  | None -> 0.
-  | Some o -> Obs_span.clock_now (Telemetry.spans o.tele)
-
-let[@inline] span_stop t name started =
-  match t.obs with
-  | None -> ()
-  | Some o -> Obs_span.record (Telemetry.spans o.tele) ~name ~started
-
 let[@inline] gc_start = function Some a -> Gc_account.start a | None -> ()
 
 let[@inline] gc_finish = function Some a -> Gc_account.finish a | None -> ()
@@ -403,12 +390,9 @@ let tick t =
   in
   Tracer.span_begin tr t.tr_period;
   gc_start gc_p;
-  let p_started = span_start t in
   Tracer.span_begin tr t.tr_refresh;
   gc_start gc_r;
-  let r_started = span_start t in
   refresh_trees t;
-  span_stop t "spf_refresh" r_started;
   gc_finish gc_r;
   Tracer.span_end tr t.tr_refresh;
   (* Snapshot this period's flooded costs for next period's laggards. *)
@@ -441,11 +425,9 @@ let tick t =
      the stream-replay reduction keeps results bit-identical. *)
   Array.fill t.offered 0 nl 0.;
   Tracer.span_begin tr t.tr_assign;
-  let a_started = span_start t in
   let pool = if nf >= parallel_flow_threshold then t.pool else None in
   Load_assign.assign ?pool t.assign ~flows:t.flows ~tree_for:t.tree_for_f
     ~sending:t.sending ~offered:t.offered ~first_hop:t.first_hop;
-  span_stop t "flow_assign" a_started;
   Tracer.span_end tr t.tr_assign;
   (* Route-change accounting against the previous periods (§3.3's route
      oscillation, counted Rzepka & Chołda-style): a changed first hop is a
@@ -537,7 +519,6 @@ let tick t =
   done;
   let updates = ref 0 in
   Tracer.span_begin tr t.tr_flood;
-  let f_started = span_start t in
   for k = 0 to t.changed_count - 1 do
     let origin = t.changed_origins.(k) in
     let costs = t.changed_costs.(origin) in
@@ -547,7 +528,6 @@ let tick t =
     incr updates;
     acc.f_bits <- acc.f_bits +. outcome.Broadcast.bits
   done;
-  span_stop t "flood" f_started;
   Tracer.span_end tr t.tr_flood;
   t.changed_count <- 0;
   t.period <- t.period + 1;
@@ -647,7 +627,6 @@ let tick t =
   h.h_nh_flips.(k) <- !nh_flips;
   h.h_link_flips.(k) <- link_flips;
   h.len <- k + 1;
-  span_stop t "routing_period" p_started;
   gc_finish gc_p;
   Tracer.span_end tr t.tr_period
 

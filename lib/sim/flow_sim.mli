@@ -61,10 +61,8 @@ val create :
     [telemetry] (default none) attaches a telemetry bundle: per-link
     utilization/cost series and update counters accumulate in its metrics
     registry, each period emits a JSONL summary event through its sink,
-    SPF refreshes and routing periods run inside profiling spans, and the
-    oscillation detector watches every link's flooded cost.  Everything
-    recorded is deterministic (span durations stay 0 unless the bundle
-    uses {!Routing_obs.Span.wall}).
+    and the oscillation detector watches every link's flooded cost.
+    Everything recorded is deterministic.
 
     [tracer] (default: the telemetry bundle's tracer, or {!Tracer.null})
     flight-records the run: every routing period, SPF refresh, flow

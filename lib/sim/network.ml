@@ -10,7 +10,6 @@ type config = {
   instant_flooding : bool;
   line_error_rate : float;
   retransmit_interval_s : float;
-  trace_capacity : int;
   domains : int;
   telemetry : Telemetry.t option;
 }
@@ -29,7 +28,6 @@ let default_config metric =
     instant_flooding = true;
     line_error_rate = 0.;
     retransmit_interval_s = 1.0;
-    trace_capacity = 0;
     domains = Domain_pool.default_size ();
     telemetry = None }
 
@@ -186,32 +184,28 @@ type t = {
      by diffing and fanned over the pool. *)
   spf : Spf_engine.t;
   min_spf : Spf_engine.t;
-  trace : Trace.t option;
   obs : obs_state option;
+  (* The bundle's flight recorder (or {!Tracer.null}) and the span names
+     it records, interned once. *)
+  tracer : Tracer.t;
+  tr_period : int;
+  tr_refresh : int;
+  tr_flood : int;
   mutable started : bool;
   mutable tables_dirty : bool;
 }
 
-(* Every structured event flows through here: into the ring buffer (when
-   tracing), the JSONL sink and the labeled counters (when telemetry is
-   attached).  With both off this is one branch and no allocation. *)
+(* Every structured event flows through here: into the JSONL sink and
+   the labeled counters when telemetry is attached.  Without it this is
+   one branch and no allocation. *)
 let trace t make_event =
-  match (t.trace, t.obs) with
-  | None, None -> ()
-  | trace_opt, obs_opt ->
+  match t.obs with
+  | None -> ()
+  | Some o ->
     let time = Engine.now t.engine in
     let event = make_event () in
-    Option.iter (fun tr -> Trace.record tr ~time event) trace_opt;
-    Option.iter
-      (fun o ->
-        count_event o event;
-        Obs_sink.emit o.obs_sink (fun () -> Trace.to_json ~time event))
-      obs_opt
-
-let span t name f =
-  match t.obs with
-  | None -> f ()
-  | Some o -> Obs_span.with_ (Telemetry.spans o.tele) ~name f
+    count_event o event;
+    Obs_sink.emit o.obs_sink (fun () -> Trace.to_json ~time event)
 
 let link_enabled t lid = t.link_up.(Link.id_to_int lid)
 
@@ -263,9 +257,10 @@ let apply_costs t i costs =
 (* Instant flooding: every node routes on the same flooded costs, so one
    engine refresh serves all tables, reusing provably unaffected trees. *)
 let install_tables t =
-  span t "spf_refresh" (fun () ->
-      Spf_engine.refresh t.spf ~enabled:(link_enabled t)
-        ~cost:(Metric.cost_fn t.metric));
+  Tracer.span_begin t.tracer t.tr_refresh;
+  Spf_engine.refresh t.spf ~enabled:(link_enabled t)
+    ~cost:(Metric.cost_fn t.metric);
+  Tracer.span_end t.tracer t.tr_refresh;
   Array.iteri
     (fun i table ->
       Routing_table.refresh table (Spf_engine.tree t.spf (Node.of_int i)))
@@ -404,7 +399,7 @@ and make_queue t (link : Link.t) =
 (* End-of-period processing: read every measurement, run the metric,
    flood significant changes, recompute tables if anything changed. *)
 let routing_period t =
-  span t "routing_period" @@ fun () ->
+  Tracer.span_begin t.tracer t.tr_period;
   let period = Units.routing_period_s in
   let now = Engine.now t.engine in
   (* Garbage-collect long-finished floods: anything older than 100 s has
@@ -451,35 +446,36 @@ let routing_period t =
   if t.changed_count > 0 then
     Log.debug (fun m ->
         m "t=%.0fs: %d PSNs flooding updates" now t.changed_count);
-  span t "flood" (fun () ->
+  Tracer.span_begin t.tracer t.tr_flood;
   for k = 0 to t.changed_count - 1 do
-      let origin = t.changed_origins.(k) in
-      let costs = t.changed_costs.(origin) in
-      t.changed_costs.(origin) <- [];
-      trace t (fun () ->
-          Trace.Update_flooded
-            { origin = Node.of_int origin; links = List.length costs });
-      if t.config.instant_flooding then begin
-        let update = Flooder.originate t.flooders.(origin) ~costs in
-        let outcome = Broadcast.flood t.graph t.flooders update in
-        Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
-        t.tables_dirty <- true
-      end
-      else begin
-        (* Hop-by-hop propagation on the priority lanes. *)
-        let update = Flooder.originate t.flooders.(origin) ~costs in
-        let token = t.next_update_token in
-        t.next_update_token <- token + 1;
-        Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
-        Measure.record_updates t.measure ~count:1 ~bits:0.;
-        apply_costs t origin costs;
-        List.iter
-          (fun (l : Link.t) ->
-            if t.link_up.(Link.id_to_int l.Link.id) then
-              send_control t l.Link.id token)
-          (Graph.out_links t.graph (Node.of_int origin))
-      end
-  done);
+    let origin = t.changed_origins.(k) in
+    let costs = t.changed_costs.(origin) in
+    t.changed_costs.(origin) <- [];
+    trace t (fun () ->
+        Trace.Update_flooded
+          { origin = Node.of_int origin; links = List.length costs });
+    if t.config.instant_flooding then begin
+      let update = Flooder.originate t.flooders.(origin) ~costs in
+      let outcome = Broadcast.flood t.graph t.flooders update in
+      Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
+      t.tables_dirty <- true
+    end
+    else begin
+      (* Hop-by-hop propagation on the priority lanes. *)
+      let update = Flooder.originate t.flooders.(origin) ~costs in
+      let token = t.next_update_token in
+      t.next_update_token <- token + 1;
+      Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
+      Measure.record_updates t.measure ~count:1 ~bits:0.;
+      apply_costs t origin costs;
+      List.iter
+        (fun (l : Link.t) ->
+          if t.link_up.(Link.id_to_int l.Link.id) then
+            send_control t l.Link.id token)
+        (Graph.out_links t.graph (Node.of_int origin))
+    end
+  done;
+  Tracer.span_end t.tracer t.tr_flood;
   t.changed_count <- 0;
   if t.tables_dirty && t.config.instant_flooding then install_tables t;
   (* Per-period series. *)
@@ -496,7 +492,7 @@ let routing_period t =
       t.queues;
   (* Telemetry per-period: queue depths, oscillation detection over the
      flooded costs, and the SPF engine counters kept current. *)
-  match t.obs with
+  (match t.obs with
   | None -> ()
   | Some o ->
     let on_flag ~link ~time ~flips =
@@ -529,7 +525,8 @@ let routing_period t =
       (float_of_int s.Spf_engine.sources_repaired);
     Obs_metrics.set o.spf_reused (float_of_int s.Spf_engine.sources_reused);
     Obs_metrics.set o.spf_resettled
-      (float_of_int s.Spf_engine.nodes_resettled)
+      (float_of_int s.Spf_engine.nodes_resettled));
+  Tracer.span_end t.tracer t.tr_period
 
 let rec schedule_periods t =
   Engine.schedule t.engine ~after:Units.routing_period_s (fun () ->
@@ -607,12 +604,12 @@ let create ?config graph tm =
       flood_latency = Welford.create ();
       spf = Spf_engine.create ?pool ~tracer graph;
       min_spf = Spf_engine.create ?pool ~tracer graph;
-      trace =
-        (if config.trace_capacity > 0 then
-           Some (Trace.create ~capacity:config.trace_capacity)
-         else None);
       obs = Option.map (fun tele -> make_obs_state tele ~links:nl)
           config.telemetry;
+      tracer;
+      tr_period = Tracer.intern tracer "routing_period";
+      tr_refresh = Tracer.intern tracer "spf_refresh";
+      tr_flood = Tracer.intern tracer "flood";
       cost_series =
         Array.init nl (fun i -> Time_series.create (Printf.sprintf "cost:l%d" i));
       util_series =
@@ -721,12 +718,6 @@ let delivered_packets t = Measure.delivered_packets t.measure
 let dropped_packets t = Measure.dropped_packets t.measure
 
 let flood_latency_stats t = t.flood_latency
-
-let trace_events t =
-  match t.trace with None -> [] | Some tr -> Trace.events tr
-
-let dump_trace t =
-  match t.trace with None -> "" | Some tr -> Trace.dump t.graph tr
 
 let generated_packets t =
   match t.workload with

@@ -77,6 +77,17 @@ let int_field ~default field json =
      | Ok n -> Ok n
      | Error _ -> Result.Error (Printf.sprintf "%S must be an integer" field))
 
+(* Axis lengths a spec may ask the parser to expand.  Checked before
+   anything is built, so a hostile count fails fast with a located error
+   instead of exhausting memory. *)
+let max_seed_count = 100_000
+
+let max_ramp_steps = 10_000
+
+(* Every shape problem is one S100; the caps above carry their axis's
+   own code (S104 seeds, S109 ramp). *)
+let shape r = Result.map_error (fun msg -> error "S100" "bad sweep spec: %s" msg) r
+
 (* [seeds] is either an explicit list or a [{"from": n, "count": m}]
    range; ranges keep big sweeps readable. *)
 let seeds_field json =
@@ -89,25 +100,33 @@ let seeds_field json =
           let* acc = acc in
           match Obs_json.to_int item with
           | Ok n -> Ok (n :: acc)
-          | Error _ -> Result.Error "\"seeds\" entries must be integers")
+          | Error _ -> shape (Result.Error "\"seeds\" entries must be integers"))
         (Ok []) items
     in
     Ok (List.rev seeds)
   | Ok (Obs_json.Obj _ as range) ->
-    let* from = int_field ~default:0 "from" range in
+    let* from = shape (int_field ~default:0 "from" range) in
     let* count =
-      match Obs_json.member "count" range with
-      | Error _ -> Result.Error "seed range needs a \"count\" field"
-      | Ok v ->
-        (match Obs_json.to_int v with
-         | Ok n -> Ok n
-         | Error _ -> Result.Error "\"count\" must be an integer")
+      shape
+        (match Obs_json.member "count" range with
+         | Error _ -> Result.Error "seed range needs a \"count\" field"
+         | Ok v ->
+           (match Obs_json.to_int v with
+            | Ok n -> Ok n
+            | Error _ -> Result.Error "\"count\" must be an integer"))
     in
     (* A degenerate range still parses; lint flags it as S104 so the
        grid-shape report can point at the axis rather than the parser. *)
-    if count <= 0 then Ok []
+    if count > max_seed_count then
+      Result.Error
+        (error "S104" "seed range count %d exceeds the limit of %d" count
+           max_seed_count)
+    else if count <= 0 then Ok []
     else Ok (List.init count (fun i -> from + i))
-  | Ok _ -> Result.Error "\"seeds\" must be a list of integers or {\"from\",\"count\"}"
+  | Ok _ ->
+    shape
+      (Result.Error
+         "\"seeds\" must be a list of integers or {\"from\",\"count\"}")
 
 (* The [critical_load] ramp expands into an evenly spaced scale grid at
    parse time, so the engine sees an ordinary scale axis — point hashes,
@@ -138,66 +157,68 @@ let ramp_field json =
            Result.Error
              (Printf.sprintf "\"critical_load\" %S must be a number" field))
     in
-    let* ramp_from = req "from" in
-    let* ramp_to = req "to" in
-    let* ramp_steps = int_field ~default:8 "steps" r in
-    Ok (Some { ramp_from; ramp_to; ramp_steps })
+    let* ramp_from = shape (req "from") in
+    let* ramp_to = shape (req "to") in
+    let* ramp_steps = shape (int_field ~default:8 "steps" r) in
+    if ramp_steps > max_ramp_steps then
+      Result.Error
+        (error "S109" "critical_load steps %d exceeds the limit of %d"
+           ramp_steps max_ramp_steps)
+    else Ok (Some { ramp_from; ramp_to; ramp_steps })
   | Ok _ ->
-    Result.Error "\"critical_load\" must be {\"from\",\"to\",\"steps\"}"
+    shape
+      (Result.Error "\"critical_load\" must be {\"from\",\"to\",\"steps\"}")
 
 let parse text =
-  let shaped =
-    let* json =
-      match Obs_json.of_string text with
-      | Ok j -> Ok j
-      | Error e -> Result.Error (Printf.sprintf "not valid JSON: %s" e)
-    in
-    let* () =
-      match json with
-      | Obs_json.Obj _ -> Ok ()
-      | _ -> Result.Error "spec must be a JSON object"
-    in
-    let* scenarios = str_list "scenarios" json in
-    let* scenarios =
-      match scenarios with
-      | None -> Result.Error "missing required \"scenarios\" list"
-      | Some ss -> Ok (List.map scenario_of_string ss)
-    in
-    let* metric_names = str_list "metrics" json in
-    let* metrics =
-      match metric_names with
-      | None -> Ok [ Metric.Hn_spf ]
-      | Some names ->
-        List.fold_left
-          (fun acc name ->
-            let* acc = acc in
-            match Metric.kind_of_name name with
-            | Some k -> Ok (k :: acc)
-            | None -> Result.Error (Printf.sprintf "unknown metric %S" name))
-          (Ok []) names
-        |> Result.map List.rev
-    in
-    let* scales = float_list "scales" json in
-    let* critical_load = ramp_field json in
-    let* () =
-      match (scales, critical_load) with
-      | Some _, Some _ ->
-        Result.Error
-          "\"scales\" and \"critical_load\" are mutually exclusive: the \
-           ramp generates the scale axis"
-      | _ -> Ok ()
-    in
-    let scales =
-      match critical_load with
-      | Some r -> ramp_scales r
-      | None -> Option.value scales ~default:[ 1.0 ]
-    in
-    let* seeds = seeds_field json in
-    let* periods = int_field ~default:60 "periods" json in
-    let* warmup = int_field ~default:0 "warmup" json in
-    Ok { scenarios; metrics; scales; seeds; periods; warmup; critical_load }
+  let* json =
+    shape
+      (match Obs_json.of_string text with
+       | Ok (Obs_json.Obj _ as j) -> Ok j
+       | Ok _ -> Result.Error "spec must be a JSON object"
+       | Error e -> Result.Error (Printf.sprintf "not valid JSON: %s" e))
   in
-  Result.map_error (fun msg -> error "S100" "bad sweep spec: %s" msg) shaped
+  let* scenarios =
+    shape
+      (match str_list "scenarios" json with
+       | Ok None -> Result.Error "missing required \"scenarios\" list"
+       | Ok (Some ss) -> Ok (List.map scenario_of_string ss)
+       | Error e -> Result.Error e)
+  in
+  let* metrics =
+    shape
+      (match str_list "metrics" json with
+       | Ok None -> Ok [ Metric.Hn_spf ]
+       | Ok (Some names) ->
+         List.fold_left
+           (fun acc name ->
+             let* acc = acc in
+             match Metric.kind_of_name name with
+             | Some k -> Ok (k :: acc)
+             | None -> Result.Error (Printf.sprintf "unknown metric %S" name))
+           (Ok []) names
+         |> Result.map List.rev
+       | Error e -> Result.Error e)
+  in
+  let* scales = shape (float_list "scales" json) in
+  let* critical_load = ramp_field json in
+  let* () =
+    match (scales, critical_load) with
+    | Some _, Some _ ->
+      shape
+        (Result.Error
+           "\"scales\" and \"critical_load\" are mutually exclusive: the \
+            ramp generates the scale axis")
+    | _ -> Ok ()
+  in
+  let scales =
+    match critical_load with
+    | Some r -> ramp_scales r
+    | None -> Option.value scales ~default:[ 1.0 ]
+  in
+  let* seeds = seeds_field json in
+  let* periods = shape (int_field ~default:60 "periods" json) in
+  let* warmup = shape (int_field ~default:0 "warmup" json) in
+  Ok { scenarios; metrics; scales; seeds; periods; warmup; critical_load }
 
 (* ---------------------------------------------------------------- *)
 (* Lint.  Every grid problem in one pass, stable codes, so the CLI can

@@ -64,7 +64,16 @@ val scenario_name : scenario -> string
 
 val parse : string -> (t, issue) result
 (** Decode spec text.  Any shape problem — invalid JSON, wrong field
-    type, unknown metric name — is one [S100] error. *)
+    type, unknown metric name — is one [S100] error.  A seed range longer
+    than {!max_seed_count} is [S104] and a [critical_load] ramp with more
+    than {!max_ramp_steps} steps is [S109], both reported before the axis
+    is expanded. *)
+
+val max_seed_count : int
+(** Longest [{"from","count"}] seed range a spec may ask for (100 000). *)
+
+val max_ramp_steps : int
+(** Most [critical_load] steps a spec may ask for (10 000). *)
 
 val lint : t -> issue list
 (** Every grid problem, in axis order: [S101] unknown scenario (no such

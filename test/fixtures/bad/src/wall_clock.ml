@@ -1,4 +1,4 @@
-(* L002 fixture: wall-clock reads outside the span clock *)
+(* L002 fixture: wall-clock reads outside the tracer clock *)
 let now () = Unix.gettimeofday ()
 
 let cpu () = Sys.time ()

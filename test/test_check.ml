@@ -1,7 +1,8 @@
 (* Tests for the routing_check static analyzer: the shipped scenarios
    and the built-in parameter table are clean, every test/fixtures/bad
-   fixture trips exactly its diagnostic code, and the P0xx lint accepts
-   precisely the paper-consistent tables (qcheck). *)
+   fixture trips exactly its diagnostic code, the P0xx lint accepts
+   precisely the paper-consistent tables (qcheck), and the input parsers
+   return a result on mutated shipped inputs instead of raising. *)
 
 module Diagnostic = Routing_check.Diagnostic
 module Checker = Routing_check.Checker
@@ -16,6 +17,8 @@ module Generator_check = Routing_check.Generator_check
 module Generators = Routing_topology.Generators
 module Hnm_params = Routing_metric.Hnm_params
 module Line_type = Routing_topology.Line_type
+module Script = Routing_sim.Script
+module Sweep_spec = Routing_sweep.Sweep_spec
 
 (* Tests run from _build/default/test; shipped scenarios are declared as
    deps one level up, fixtures live beside us. *)
@@ -414,6 +417,93 @@ let prop_broken_max_cost_fails =
 
 (* --- Suite --- *)
 
+(* --- Parsers never raise on mutated shipped inputs --- *)
+
+let shipped_inputs =
+  lazy
+    (let dir = Filename.concat ".." "scenarios" in
+     Sys.readdir dir |> Array.to_list |> List.sort compare
+     |> List.filter (fun f ->
+            Filename.check_suffix f ".json" || Filename.check_suffix f ".scn")
+     |> List.map (fun f ->
+            (f, In_channel.with_open_text (Filename.concat dir f)
+                  In_channel.input_all)))
+
+type mutation =
+  | Delete of int * int  (** position, length *)
+  | Insert of int * string
+  | Truncate of int
+  | Splice of int * string
+      (** replace the k-th digit run (k modulo their number) *)
+
+let large_numbers =
+  [ "4611686018427387903"; "-4611686018427387904"; "99999999999999999999";
+    "100000000"; "1e308"; "-1e999"; "0"; "-1" ]
+
+let pp_mutation = function
+  | Delete (p, n) -> Printf.sprintf "delete %d@%d" n p
+  | Insert (p, s) -> Printf.sprintf "insert %S@%d" s p
+  | Truncate p -> Printf.sprintf "truncate@%d" p
+  | Splice (p, s) -> Printf.sprintf "splice %s@%d" s p
+
+let is_digit c = c >= '0' && c <= '9'
+
+let mutate text m =
+  let len = String.length text in
+  let at p = if len = 0 then 0 else p mod (len + 1) in
+  let cut a b = String.sub text 0 a ^ String.sub text b (len - b) in
+  match m with
+  | Delete (p, n) ->
+    let a = at p in
+    cut a (min len (a + n))
+  | Insert (p, s) ->
+    let a = at p in
+    String.sub text 0 a ^ s ^ String.sub text a (len - a)
+  | Truncate p -> String.sub text 0 (at p)
+  | Splice (k, s) ->
+    let rec runs i acc =
+      if i >= len then List.rev acc
+      else if is_digit text.[i] then begin
+        let rec stop j = if j < len && is_digit text.[j] then stop (j + 1) else j in
+        let j = stop i in
+        runs j ((i, j) :: acc)
+      end
+      else runs (i + 1) acc
+    in
+    (match runs 0 [] with
+    | [] -> text
+    | rs ->
+      let a, b = List.nth rs (k mod List.length rs) in
+      String.sub text 0 a ^ s ^ String.sub text b (len - b))
+
+let mutation_gen =
+  let open QCheck2.Gen in
+  (* Splices weigh most: numeric fields are where a parser sizes
+     things. *)
+  frequency
+    [ (1, map2 (fun p n -> Delete (p, n)) nat (int_range 1 16));
+      (1, map2 (fun p s -> Insert (p, s)) nat
+            (string_size ~gen:printable (int_range 1 8)));
+      (1, map (fun p -> Truncate p) nat);
+      (3, map2 (fun k s -> Splice (k, s)) nat (oneofl large_numbers)) ]
+
+let prop_parsers_never_raise =
+  let inputs = Lazy.force shipped_inputs in
+  QCheck2.Test.make ~name:"parsers never raise on mutated inputs" ~count:1000
+    ~print:(fun (i, ms) ->
+      String.concat "; " (fst (List.nth inputs i) :: List.map pp_mutation ms))
+    QCheck2.Gen.(
+      pair
+        (int_bound (List.length inputs - 1))
+        (list_size (int_range 1 4) mutation_gen))
+    (fun (i, ms) ->
+      let text = List.fold_left mutate (snd (List.nth inputs i)) ms in
+      (match Obs_json.of_string text with Ok _ | Error _ -> ());
+      (match Sweep_spec.parse text with Ok _ | Error _ -> ());
+      (match Script.parse text with Ok _ | Error _ -> ());
+      ignore (Script.lint text);
+      true)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "check"
@@ -454,4 +544,5 @@ let () =
          [ prop_builtin_entries_pass;
            prop_consistent_entries_pass;
            prop_broken_max_cost_fails;
-           prop_merge_order_independent ]) ]
+           prop_merge_order_independent;
+           prop_parsers_never_raise ]) ]

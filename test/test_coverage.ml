@@ -161,16 +161,40 @@ let test_reverse_spf_enabled () =
   Alcotest.(check bool) "A rerouted the long way" true
     (Reverse_spf.dist_to rspf a = 30)
 
-(* --- Network defaults: tracing off, no overhead --- *)
+(* --- Network defaults: tracing off, and tracing changes nothing --- *)
 
 let test_network_trace_off_by_default () =
   let g = two_nodes () in
   let tm = Traffic_matrix.uniform ~nodes:2 ~pair_bps:2000. in
   let net = Network.create g tm in
   Network.run net ~duration_s:30.;
-  Alcotest.(check (list (pair (float 0.) (of_pp (fun _ _ -> ()))))) "no events"
-    [] (Network.trace_events net);
-  Alcotest.(check string) "empty dump" "" (Network.dump_trace net)
+  Alcotest.(check bool) "no bundle" true (Network.telemetry net = None);
+  (* The same run with a buffer sink attached records typed events that
+     read back through [Trace.of_json], and moves no packet differently. *)
+  let tele =
+    Routing_obs.Telemetry.create ~sink:(Routing_obs.Sink.buffer ()) ()
+  in
+  let config =
+    { (Network.default_config Metric.Hn_spf) with telemetry = Some tele }
+  in
+  let traced = Network.create ~config g tm in
+  Network.run traced ~duration_s:30.;
+  let delivered =
+    String.split_on_char '\n'
+      (Routing_obs.Sink.contents (Routing_obs.Telemetry.sink tele))
+    |> List.filter_map (fun line ->
+           Result.to_option
+             (Result.bind (Routing_obs.Json.of_string line)
+                Routing_sim.Trace.of_json))
+    |> List.filter (fun (_, e) ->
+           match e with
+           | Routing_sim.Trace.Packet_delivered _ -> true
+           | _ -> false)
+  in
+  Alcotest.(check int) "every delivery traced"
+    (Network.delivered_packets net) (List.length delivered);
+  Alcotest.(check int) "same deliveries traced or not"
+    (Network.delivered_packets net) (Network.delivered_packets traced)
 
 (* --- Flow sim: min-hop floods nothing, series lengths --- *)
 

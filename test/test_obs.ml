@@ -1,12 +1,11 @@
 (* Tests for the routing_obs telemetry library and its simulator wiring:
-   JSON/JSONL round-trips, histogram merge laws, trace ring accounting,
-   and the oscillation detector separating D-SPF from HN-SPF on a fixed
-   scenario. *)
+   JSON/JSONL round-trips, histogram merge laws, typed events through a
+   buffer sink, and the oscillation detector separating D-SPF from
+   HN-SPF on a fixed scenario. *)
 
 module Json = Routing_obs.Json
 module Sink = Routing_obs.Sink
 module Metrics = Routing_obs.Metrics
-module Span = Routing_obs.Span
 module Oscillation = Routing_obs.Oscillation
 module Telemetry = Routing_obs.Telemetry
 module Histogram = Routing_stats.Histogram
@@ -122,34 +121,33 @@ let test_trace_of_json_rejects () =
     (bad {|{"t":1.0,"ev":"drop","at":0,"src":1,"dst":2,"reason":"gremlins"}|});
   Alcotest.(check bool) "not an object" true (bad "[1,2]")
 
-(* --- Trace ring accounting --- *)
+(* --- Typed events through a buffer sink --- *)
 
-let test_trace_wraparound () =
-  let t = Trace.create ~capacity:4 in
+(* The sink is the one durable path for typed events: everything emitted
+   reads back through [Trace.of_json], in order, nothing dropped. *)
+let test_trace_sink_keeps_every_event () =
+  let sink = Sink.buffer () in
   for i = 1 to 10 do
-    Trace.record t ~time:(float_of_int i)
-      (Trace.Tables_recomputed { at = Node.of_int i })
+    let event = Trace.Tables_recomputed { at = Node.of_int i } in
+    Sink.emit sink (fun () -> Trace.to_json ~time:(float_of_int i) event)
   done;
-  Alcotest.(check int) "length" 4 (Trace.length t);
-  Alcotest.(check int) "total_recorded" 10 (Trace.total_recorded t);
-  let times = List.map fst (Trace.events t) in
-  Alcotest.(check (list (float 0.))) "retains newest, oldest first"
-    [ 7.; 8.; 9.; 10. ] times;
-  let seen = ref [] in
-  Trace.iter t ~f:(fun ~time _ -> seen := time :: !seen);
-  Alcotest.(check (list (float 0.))) "iter matches events"
-    times (List.rev !seen);
-  let g, _ = Routing_topology.Generators.two_region () in
-  let dump = Trace.dump g t in
-  Alcotest.(check bool) "dump announces drops" true
-    (Astring.String.is_prefix ~affix:"(6 earlier events dropped)" dump)
-
-let test_trace_no_drop_no_header () =
-  let t = Trace.create ~capacity:4 in
-  Trace.record t ~time:1. (Trace.Tables_recomputed { at = Node.of_int 0 });
-  let g, _ = Routing_topology.Generators.two_region () in
-  Alcotest.(check bool) "no spurious header" false
-    (Astring.String.is_infix ~affix:"dropped" (Trace.dump g t))
+  Alcotest.(check int) "emitted" 10 (Sink.emitted sink);
+  let read =
+    String.split_on_char '\n' (Sink.contents sink)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Result.bind (Json.of_string l) Trace.of_json with
+           | Ok e -> e
+           | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check (list (float 0.))) "every event, oldest first"
+    (List.init 10 (fun i -> float_of_int (i + 1)))
+    (List.map fst read);
+  Alcotest.(check bool) "events intact" true
+    (List.for_all
+       (fun (time, e) ->
+         e = Trace.Tables_recomputed { at = Node.of_int (int_of_float time) })
+       read)
 
 (* --- Histogram merge --- *)
 
@@ -240,26 +238,6 @@ let test_metrics_kind_collision () =
   Alcotest.(check bool) "kind collision raises" true
     (try ignore (Metrics.gauge m "x"); false
      with Invalid_argument _ -> true)
-
-(* --- Span --- *)
-
-let test_span_untimed_deterministic () =
-  let s = Span.create ~clock:Span.untimed () in
-  for _ = 1 to 3 do Span.with_ s ~name:"work" (fun () -> ()) done;
-  Span.with_ s ~name:"alpha" (fun () -> ());
-  match Span.report s with
-  | [ a; w ] ->
-    Alcotest.(check string) "sorted" "alpha" a.Span.name;
-    Alcotest.(check int) "count" 3 w.Span.count;
-    Alcotest.(check (float 0.)) "untimed total" 0. w.Span.total_s
-  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
-
-let test_span_protects_on_raise () =
-  let s = Span.create ~clock:Span.untimed () in
-  (try Span.with_ s ~name:"boom" (fun () -> failwith "x") with Failure _ -> ());
-  match Span.report s with
-  | [ r ] -> Alcotest.(check int) "recorded despite raise" 1 r.Span.count
-  | _ -> Alcotest.fail "missing row"
 
 (* --- Oscillation detector --- *)
 
@@ -359,8 +337,8 @@ let () =
         @ qsuite [ prop_json_roundtrip; prop_json_pretty_roundtrip ] );
       ( "trace",
         [ Alcotest.test_case "of_json rejects" `Quick test_trace_of_json_rejects;
-          Alcotest.test_case "wraparound accounting" `Quick test_trace_wraparound;
-          Alcotest.test_case "no drop header" `Quick test_trace_no_drop_no_header ]
+          Alcotest.test_case "sink keeps every event" `Quick
+            test_trace_sink_keeps_every_event ]
         @ qsuite [ prop_trace_jsonl_roundtrip ] );
       ( "histogram",
         [ Alcotest.test_case "layout mismatch" `Quick
@@ -375,11 +353,6 @@ let () =
         [ Alcotest.test_case "snapshot sorted" `Quick
             test_metrics_snapshot_sorted_and_typed;
           Alcotest.test_case "kind collision" `Quick test_metrics_kind_collision ] );
-      ( "span",
-        [ Alcotest.test_case "untimed deterministic" `Quick
-            test_span_untimed_deterministic;
-          Alcotest.test_case "protects on raise" `Quick
-            test_span_protects_on_raise ] );
       ( "oscillation",
         [ Alcotest.test_case "square wave" `Quick
             test_oscillation_flags_square_wave;

@@ -518,19 +518,23 @@ let test_network_incremental_survives_link_flap () =
 
 module Trace = Routing_sim.Trace
 
-let test_trace_ring_rotation () =
-  let tr = Trace.create ~capacity:3 in
-  for i = 1 to 5 do
-    Trace.record tr ~time:(float_of_int i)
-      (Trace.Tables_recomputed { at = Node.of_int i })
-  done;
-  Alcotest.(check int) "capacity bound" 3 (Trace.length tr);
-  Alcotest.(check int) "total recorded" 5 (Trace.total_recorded tr);
-  let times = List.map fst (Trace.events tr) in
-  Alcotest.(check (list (float 1e-9))) "most recent, oldest first" [ 3.; 4.; 5. ]
-    times
+module Json = Routing_obs.Json
+module Sink = Routing_obs.Sink
+module Telemetry = Routing_obs.Telemetry
+
+(* Typed events read back from a buffer sink, oldest first; lines that
+   are not [Trace] events (oscillation flags) are skipped. *)
+let sink_events tele =
+  String.split_on_char '\n' (Sink.contents (Telemetry.sink tele))
+  |> List.filter_map (fun line ->
+         if line = "" then None
+         else
+           match Json.of_string line with
+           | Error e -> Alcotest.failf "sink line does not parse: %s" e
+           | Ok json -> Result.to_option (Trace.of_json json))
 
 let test_network_trace_captures_events () =
+  let tele = Telemetry.create ~sink:(Sink.buffer ()) () in
   let g, net =
     let b = Builder.create () in
     let _ = Builder.trunk b Line_type.T56 ~propagation_s:0.002 "A" "B" in
@@ -540,12 +544,12 @@ let test_network_trace_captures_events () =
     let config =
       { (Network.default_config Metric.Hn_spf) with
         Network.seed = 11;
-        trace_capacity = 10_000 }
+        telemetry = Some tele }
     in
     (g, Network.create ~config g tm)
   in
   Network.run net ~duration_s:60.;
-  let events = Network.trace_events net in
+  let events = sink_events tele in
   Alcotest.(check bool) "events recorded" true (List.length events > 100);
   let deliveries =
     List.filter
@@ -566,9 +570,7 @@ let test_network_trace_captures_events () =
     (List.exists
        (fun (_, e) ->
          match e with Trace.Link_state { up = false; _ } -> true | _ -> false)
-       (Network.trace_events net));
-  Alcotest.(check bool) "dump renders" true
-    (String.length (Network.dump_trace net) > 1000)
+       (sink_events tele))
 
 let test_network_deterministic () =
   let run () =
@@ -619,7 +621,6 @@ let () =
             test_network_incremental_spf_agrees;
           Alcotest.test_case "incremental + link flap" `Quick
             test_network_incremental_survives_link_flap;
-          Alcotest.test_case "trace ring" `Quick test_trace_ring_rotation;
           Alcotest.test_case "trace captures events" `Quick
             test_network_trace_captures_events;
           Alcotest.test_case "deterministic" `Quick test_network_deterministic ] )

@@ -1,13 +1,13 @@
 (* Tests for the flight recorder: ring accounting under wraparound,
    well-nestedness and time-ordering of recorded streams (qcheck over
    random span programs), byte-deterministic Chrome trace-event export
-   with a JSON round-trip and digest, and multi-domain recording through
-   the pool probe. *)
+   with a JSON round-trip and digest, the --profile table read from a
+   live recording against the digest of its written export, packet-run
+   spans, and multi-domain recording through the pool probe. *)
 
 module Json = Routing_obs.Json
 module Tracer = Routing_obs.Tracer
 module Trace_export = Routing_obs.Trace_export
-module Sink = Routing_obs.Sink
 module Metrics = Routing_obs.Metrics
 module Gc_account = Routing_obs.Gc_account
 module Telemetry = Routing_obs.Telemetry
@@ -151,17 +151,129 @@ let test_chrome_roundtrip_and_digest () =
       "one track, all events" [ (0, 18) ] d.Trace_export.tracks;
     (* Untimed clock: durations are sequence-number differences.  Each
        period span opens at s and closes at s+5; each refresh at s+1 and
-       s+3. *)
-    Alcotest.(check bool)
-      "span totals" true
-      (List.assoc "period" d.Trace_export.span_totals = 15.
-      && List.assoc "refresh" d.Trace_export.span_totals = 6.)
+       s+3, so a period's self time is 5 - 2. *)
+    let row name =
+      match List.find_opt (fun r -> r.Trace_export.name = name) d.spans with
+      | Some r -> (r.count, r.total, r.self, r.p50, r.max)
+      | None -> Alcotest.failf "no %s row" name
+    in
+    let stats = Alcotest.(pair int (pair (float 0.) (float 0.))) in
+    let flat (c, t, s, _, _) = (c, (t, s)) in
+    Alcotest.check stats "period" (3, (15., 9.)) (flat (row "period"));
+    Alcotest.check stats "refresh" (3, (6., 6.)) (flat (row "refresh"));
+    let _, _, _, p50, max = row "period" in
+    Alcotest.(check (pair (float 0.) (float 0.))) "exact percentiles"
+      (5., 5.) (p50, max);
+    Alcotest.(check bool) "untimed" false d.timed
 
-let test_to_sink_counts () =
-  let t = record_fixture () in
-  let sink = Sink.buffer () in
-  Trace_export.to_sink t sink;
-  Alcotest.(check int) "one JSONL line per event" 18 (Sink.emitted sink)
+(* --- the --profile table --- *)
+
+(* Nearest-rank percentiles over known durations 1..100. *)
+let test_profile_percentiles () =
+  let now = ref 0. in
+  let t = Tracer.create ~clock:(Tracer.Fn (fun () -> !now)) () in
+  let id = Tracer.intern t "work" in
+  for d = 100 downto 1 do
+    Tracer.span_begin t id;
+    now := !now +. (float_of_int d *. 1e-6);
+    Tracer.span_end t id
+  done;
+  match (Trace_export.profile t).spans with
+  | [ r ] ->
+    let close = Alcotest.float 1e-6 in
+    Alcotest.(check int) "count" 100 r.count;
+    Alcotest.check close "p50" 50. r.p50;
+    Alcotest.check close "p95" 95. r.p95;
+    Alcotest.check close "p99" 99. r.p99;
+    Alcotest.check close "max" 100. r.max;
+    Alcotest.check close "total" 5050. r.total
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
+(* One flow run under a custom clock: every row --profile prints from the
+   live recorder equals the row [replay] digests from the written file. *)
+let test_profile_matches_replay () =
+  let now = ref 0. in
+  let clock = Tracer.Fn (fun () -> now := !now +. 0.000125; !now) in
+  let tracer = Tracer.create ~clock () in
+  let tele = Telemetry.create ~tracer () in
+  let g = Routing_topology.Arpanet.topology () in
+  let tm =
+    Routing_topology.Arpanet.peak_traffic (Routing_stats.Rng.create 3) g
+  in
+  let sim =
+    Routing_sim.Flow_sim.create ~domains:1 ~telemetry:tele g
+      Routing_metric.Metric.D_spf tm
+  in
+  let run = Tracer.intern tracer "run" in
+  Tracer.span_begin tracer run;
+  ignore (Routing_sim.Flow_sim.run sim ~periods:12);
+  Tracer.span_end tracer run;
+  let profiled = Trace_export.profile tracer in
+  let path = Filename.temp_file "profile" ".trace.json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_export.write_chrome tracer path;
+      let text = In_channel.with_open_text path In_channel.input_all in
+      match Result.bind (Json.of_string text) Trace_export.digest with
+      | Error e -> Alcotest.fail e
+      | Ok replayed ->
+        let rows d =
+          List.map
+            (fun r -> Trace_export.(r.name, (r.count, r.total)))
+            d.Trace_export.spans
+        in
+        Alcotest.(check (list (pair string (pair int (float 0.)))))
+          "count and total per span" (rows replayed) (rows profiled);
+        Alcotest.(check bool) "rows identical" true
+          (replayed.spans = profiled.spans);
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " recorded") true
+              (List.mem_assoc name (rows profiled)))
+          [ "run"; "routing_period"; "spf_refresh"; "flow_assign"; "flood" ])
+
+(* A packet run shows its routing periods, SPF refreshes and floods. *)
+let test_packet_chrome_spans () =
+  let tracer = Tracer.create () in
+  let tele = Telemetry.create ~tracer () in
+  let g = Routing_topology.Arpanet.topology () in
+  let tm =
+    Routing_topology.Arpanet.peak_traffic (Routing_stats.Rng.create 5) g
+  in
+  let config =
+    { (Routing_sim.Network.default_config Routing_metric.Metric.Hn_spf) with
+      domains = 1;
+      telemetry = Some tele }
+  in
+  let net = Routing_sim.Network.create ~config g tm in
+  Routing_sim.Network.run net ~duration_s:40.;
+  match Trace_export.digest (Trace_export.chrome_json tracer) with
+  | Error e -> Alcotest.fail e
+  | Ok d ->
+    let count name =
+      match List.find_opt (fun r -> r.Trace_export.name = name) d.spans with
+      | Some r -> r.count
+      | None -> 0
+    in
+    Alcotest.(check int) "one routing_period per 10 s" 4
+      (count "routing_period");
+    Alcotest.(check int) "one flood round per period" 4 (count "flood");
+    Alcotest.(check bool) "spf_refresh recorded" true (count "spf_refresh" > 0)
+
+(* A wrapped ring reports its drops in the printed table. *)
+let test_profile_reports_drops () =
+  let t = Tracer.create ~capacity:16 () in
+  let id = Tracer.intern t "tick" in
+  for _ = 1 to 20 do
+    Tracer.span_begin t id;
+    Tracer.span_end t id
+  done;
+  let d = Trace_export.profile t in
+  Alcotest.(check int) "dropped" 24 d.dropped;
+  Alcotest.(check bool) "table says so" true
+    (Astring.String.is_infix ~affix:"dropped events: 24"
+       (Format.asprintf "%a" Trace_export.pp_profile d))
 
 (* --- multi-domain recording through the pool probe --- *)
 
@@ -225,7 +337,15 @@ let () =
             test_chrome_byte_deterministic;
           Alcotest.test_case "round-trip and digest" `Quick
             test_chrome_roundtrip_and_digest;
-          Alcotest.test_case "to_sink counts" `Quick test_to_sink_counts ] );
+          Alcotest.test_case "packet run spans" `Quick test_packet_chrome_spans
+        ] );
+      ( "profile",
+        [ Alcotest.test_case "exact percentiles" `Quick
+            test_profile_percentiles;
+          Alcotest.test_case "matches replay digest" `Quick
+            test_profile_matches_replay;
+          Alcotest.test_case "reports drops" `Quick test_profile_reports_drops
+        ] );
       ( "domains",
         [ Alcotest.test_case "pool probe" `Quick test_pool_probe_multi_domain ]
       );
