@@ -1301,19 +1301,60 @@ module Obs_metrics = Routing_obs.Metrics
 module Obs_json = Routing_obs.Json
 module Obs_tracer = Routing_obs.Tracer
 
-(* Run metadata the harness passes via the environment ([BENCH_GIT_REV],
-   [BENCH_DATE] — an ISO date); "unknown" when run by hand. *)
-let bench_env key =
-  match Sys.getenv_opt key with Some v when v <> "" -> v | _ -> "unknown"
+(* Provenance for every BENCH_*.json, worked out here rather than passed
+   in: the checkout's git revision, marked [+dirty] when tracked files
+   differ from it (as perfbench/run.py marks its records), the UTC date
+   and the OCaml version. *)
+let command_output cmd =
+  match Unix.open_process_in cmd with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let out = In_channel.input_all ic in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> Some (String.trim out)
+    | _ -> None)
 
-let write_bench_json path ~domains ~topologies rows =
+let git_revision () =
+  match command_output "git rev-parse HEAD 2>/dev/null" with
+  | Some rev when rev <> "" ->
+    let dirty =
+      match
+        command_output "git status --porcelain --untracked-files=no 2>/dev/null"
+      with
+      | Some status when status <> "" -> "+dirty"
+      | _ -> ""
+    in
+    Some (rev ^ dirty)
+  | _ -> None
+
+(* A record that cannot say what it measured is not written: the check
+   runs before the benchmark, so a run outside a git checkout fails fast
+   instead of after minutes of timing. *)
+let require_revision file =
+  match git_revision () with
+  | Some rev -> rev
+  | None ->
+    Printf.eprintf
+      "bench: cannot read the git revision of this checkout (git rev-parse \
+       HEAD failed); refusing to write %s\n"
+      file;
+    exit 2
+
+let stamp_provenance reg ~rev =
+  let t = Unix.gmtime (Unix.time ()) in
+  Obs_metrics.set_meta reg "git_rev" rev;
+  Obs_metrics.set_meta reg "date"
+    (Printf.sprintf "%04d-%02d-%02d" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
+       t.Unix.tm_mday);
+  Obs_metrics.set_meta reg "ocaml_version" Sys.ocaml_version
+
+let write_bench_json path ~rev ~domains ~topologies rows =
   let reg = Obs_metrics.create () in
   Obs_metrics.set_meta reg "benchmark" "all-pairs SPF refresh";
   Obs_metrics.set_meta reg "units"
     "ns / minor words / major words per run (bechamel OLS estimates)";
   Obs_metrics.set_meta reg "domains" (string_of_int domains);
-  Obs_metrics.set_meta reg "git_rev" (bench_env "BENCH_GIT_REV");
-  Obs_metrics.set_meta reg "date" (bench_env "BENCH_DATE");
+  stamp_provenance reg ~rev;
   List.iter
     (fun (name, (ns, minor, major)) ->
       let gauge metric v =
@@ -1406,7 +1447,10 @@ let spf_identity_gate () =
   check "link enable";
   note "identity gate: repaired trees match from-scratch Dijkstra@."
 
-let perf_spf ~quick () =
+(* [record] is the revision stamped into BENCH_spf.json; [None] is the
+   smoke mode: tiny quota, no file. *)
+let perf_spf ~record () =
+  let quick = Option.is_none record in
   section
     (if quick then
        "perf-quick — SPF engine smoke benchmarks (tiny quota, no file)"
@@ -1422,12 +1466,13 @@ let perf_spf ~quick () =
       topologies
   in
   print_rows rows;
-  if not quick then begin
-    write_bench_json "BENCH_spf.json" ~domains:(Domain_pool.size pool)
-      ~topologies:(List.map (fun (t, _, _) -> t) topologies)
-      rows;
-    note "wrote BENCH_spf.json@."
-  end
+  Option.iter
+    (fun rev ->
+      write_bench_json "BENCH_spf.json" ~rev ~domains:(Domain_pool.size pool)
+        ~topologies:(List.map (fun (t, _, _) -> t) topologies)
+        rows;
+      note "wrote BENCH_spf.json@.")
+    record
 
 (* ------------------------------------------------------------------ *)
 (* Flow-simulator hot path + sweep throughput.  `sim` records          *)
@@ -1694,7 +1739,9 @@ let sweep_rows ~spec ~domain_counts =
    | [] -> ());
   List.map (fun (domains, pps, _) -> (domains, pps)) reports
 
-let write_sim_json path ~cores ~sweep_src ~rows ~sweep ~million ~knees =
+(* [out] is [Some (file, revision)] for a recorded run, [None] for the
+   smoke mode, which only checks the record's codec round-trip. *)
+let write_sim_json out ~cores ~sweep_src ~rows ~sweep ~million ~knees =
   let reg = Obs_metrics.create () in
   Obs_metrics.set_meta reg "benchmark" "flow-sim hot path + sweep throughput";
   Obs_metrics.set_meta reg "units"
@@ -1704,8 +1751,7 @@ let write_sim_json path ~cores ~sweep_src ~rows ~sweep ~million ~knees =
      rows read honestly: with one core, more domains cannot beat one. *)
   Obs_metrics.set_meta reg "cores" (string_of_int cores);
   Obs_metrics.set_meta reg "sweep_workload" sweep_src;
-  Obs_metrics.set_meta reg "git_rev" (bench_env "BENCH_GIT_REV");
-  Obs_metrics.set_meta reg "date" (bench_env "BENCH_DATE");
+  Option.iter (fun (_, rev) -> stamp_provenance reg ~rev) out;
   List.iter
     (fun (name, (ns, minor, major)) ->
       let gauge metric v =
@@ -1772,9 +1818,9 @@ let write_sim_json path ~cores ~sweep_src ~rows ~sweep ~million ~knees =
    | Ok round when Obs_json.equal round json -> ()
    | Ok _ -> failwith "BENCH_sim.json does not round-trip identically"
    | Error e -> failwith ("BENCH_sim.json does not re-parse: " ^ e));
-  (match path with
+  (match out with
    | None -> ()
-   | Some path ->
+   | Some (path, _) ->
      let oc = open_out path in
      Fun.protect
        ~finally:(fun () -> close_out oc)
@@ -1787,6 +1833,10 @@ let bench_sim ~quick () =
     (if quick then
        "sim-quick — flow-sim smoke benchmarks (tiny quota and grid, no file)"
      else "sim — flow-sim hot path and sweep throughput");
+  let out =
+    if quick then None
+    else Some ("BENCH_sim.json", require_revision "BENCH_sim.json")
+  in
   let rows = sim_bench_rows ~quota_s:(if quick then 0.02 else 0.5) in
   let mf_rows, million = million_flow_rows ~quick () in
   let rows = rows @ mf_rows in
@@ -1809,8 +1859,7 @@ let bench_sim ~quick () =
   note "sweep reports byte-identical across domain counts@.";
   let knees = critical_load_knees ~quick in
   let cores = Domain.recommended_domain_count () in
-  let path = if quick then None else Some "BENCH_sim.json" in
-  write_sim_json path ~cores ~sweep_src ~rows ~sweep ~million ~knees;
+  write_sim_json out ~cores ~sweep_src ~rows ~sweep ~million ~knees;
   if not quick then note "wrote BENCH_sim.json@."
 
 (* ------------------------------------------------------------------ *)
@@ -1841,11 +1890,13 @@ let () =
     List.iter
       (fun name ->
         if String.equal name "perf" then begin
+          let rev = require_revision "BENCH_spf.json" in
           perf ();
-          perf_spf ~quick:false ()
+          perf_spf ~record:(Some rev) ()
         end
-        else if String.equal name "perf-quick" then perf_spf ~quick:true ()
-        else if String.equal name "perf-spf" then perf_spf ~quick:false ()
+        else if String.equal name "perf-quick" then perf_spf ~record:None ()
+        else if String.equal name "perf-spf" then
+          perf_spf ~record:(Some (require_revision "BENCH_spf.json")) ()
         else if String.equal name "sim" then bench_sim ~quick:false ()
         else if String.equal name "sim-quick" then bench_sim ~quick:true ()
         else

@@ -242,6 +242,36 @@ let contains line needle =
 let is_toplevel_let line =
   String.length line > 4 && String.sub line 0 4 = "let "
 
+(* Does a toplevel [let] bind a function?  A parameter between the bound
+   name and [=] — [()], [~x], [?x], an identifier or a parenthesised
+   pattern — means the body runs per call, so whatever state it builds is
+   fresh each time.  Value bindings, annotated ones included
+   ([let t : … = Hashtbl.create 8]), run once at module initialisation
+   and are shared by every domain. *)
+let binds_function line =
+  let n = String.length line in
+  let skip pred i =
+    let i = ref i in
+    while !i < n && pred line.[!i] do incr i done;
+    !i
+  in
+  let blank c = c = ' ' in
+  let ident = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let name = skip blank 4 in
+  let name =
+    if name + 4 <= n && String.sub line name 4 = "rec " then skip blank (name + 4)
+    else name
+  in
+  let after = skip ident name in
+  let param = skip blank after in
+  after > name && param < n
+  && match line.[param] with
+     | 'a' .. 'z' | '_' | '~' | '?' | '(' -> true
+     | _ -> false
+
 let mutable_constructs =
   [ "= ref "; "Hashtbl.create"; "Queue.create"; "Buffer.create";
     "Atomic.make" ]
@@ -272,7 +302,10 @@ let scan_file ~in_spf_closure path =
           add ~line:lineno ~code:"L002"
             "wall-clock read outside lib/obs/tracer.ml: route timing through \
              the Tracer clock so runs stay deterministic";
-        if in_spf_closure && is_toplevel_let line then
+        if
+          in_spf_closure && is_toplevel_let line
+          && not (binds_function line)
+        then
           List.iter
             (fun needle ->
               if contains line needle then

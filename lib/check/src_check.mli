@@ -17,8 +17,10 @@ open! Import
       behind the {!Routing_obs.Tracer} clock
     - [L003] (error) — top-level mutable state ([ref], [Hashtbl.create],
       [Queue.create], [Buffer.create], [Atomic.make] in a toplevel
-      [let]) in a library reachable from [routing_spf]'s dune
-      dependency closure — shared cells domains could race on
+      value [let]) in a library reachable from [routing_spf]'s dune
+      dependency closure — shared cells domains could race on.  A
+      toplevel function ([let f x = …], [let create () = …]) builds
+      fresh state per call and is not flagged.
 
     The dependency closure is computed from the [dune] files under the
     root, so a new library that links into the SPF path is linted

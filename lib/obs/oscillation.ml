@@ -3,7 +3,6 @@ type link_state = {
   mutable seen : bool;
   mutable direction : int; (* -1, 0, +1: sign of the last cost change *)
   mutable flips : float list; (* flip times, newest first, within window *)
-  mutable flips_total : int; (* flips ever, window-independent *)
   mutable flagged : bool; (* currently over threshold *)
   mutable ever : bool;
 }
@@ -13,7 +12,6 @@ type t = {
   max_flips : int;
   states : link_state array;
   mutable flag_count : int;
-  mutable flips_total : int; (* sum of per-link flips_total *)
 }
 
 let create ?(window_s = 120.) ?(max_flips = 4) ~links () =
@@ -28,11 +26,9 @@ let create ?(window_s = 120.) ?(max_flips = 4) ~links () =
             seen = false;
             direction = 0;
             flips = [];
-            flips_total = 0;
             flagged = false;
             ever = false });
-    flag_count = 0;
-    flips_total = 0 }
+    flag_count = 0 }
 
 (* Newest-first: keep the prefix inside the window.  Top-level so quiet
    observations stay allocation-free — a local [let rec] would close over
@@ -56,11 +52,8 @@ let[@inline] observe ?on_flag t ~link ~time ~cost =
    end
    else if cost <> s.last_cost then begin
      let direction = if cost > s.last_cost then 1 else -1 in
-     if s.direction <> 0 && direction <> s.direction then begin
+     if s.direction <> 0 && direction <> s.direction then
        s.flips <- time :: s.flips;
-       s.flips_total <- s.flips_total + 1;
-       t.flips_total <- t.flips_total + 1
-     end;
      s.direction <- direction;
      s.last_cost <- cost
    end);
@@ -78,10 +71,6 @@ let[@inline] observe ?on_flag t ~link ~time ~cost =
   else s.flagged <- false
 
 let flips_in_window t ~link = List.length t.states.(link).flips
-
-let link_total_flips t ~link = t.states.(link).flips_total
-
-let total_flips t = t.flips_total
 
 let collect t pred =
   let out = ref [] in

@@ -32,13 +32,6 @@ val observe :
 
 val flips_in_window : t -> link:int -> int
 
-val link_total_flips : t -> link:int -> int
-(** Direction flips ever observed on a link, independent of the sliding
-    window — the Rzepka & Chołda-style change counter sweep reports use. *)
-
-val total_flips : t -> int
-(** Sum of {!link_total_flips} over all links. *)
-
 val flagged : t -> int list
 (** Links currently over threshold, ascending. *)
 

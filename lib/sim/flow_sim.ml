@@ -166,16 +166,11 @@ type t = {
   mutable flooders : Flooder.t array;
   link_up : bool array;
   utilization : float array; (* most recent period, raw offered/capacity *)
-  pool : Domain_pool.t option; (* shared by all three engines *)
+  pool : Domain_pool.t option; (* shared by both engines *)
   engine : Spf_engine.t; (* per-source trees on flooded costs *)
   min_engine : Spf_engine.t; (* per-source min-hop trees on up links *)
-  mutable lag_engine : Spf_engine.t option;
-      (* laggard sources' trees on the previous period's costs; created on
-         first use when stagger > 0 *)
   mutable period : int;
   hist : hist;
-  mutable stagger : float; (* fraction of nodes applying updates one period late *)
-  mutable prev_costs : int array; (* flooded costs as of the previous period *)
   mutable adaptive_sources : bool;
   mutable prev_first_hop : int array; (* per flow index; -1 = none yet *)
   mutable prev2_first_hop : int array; (* first hop two periods ago *)
@@ -197,12 +192,12 @@ type t = {
   changed_origins : int array; (* origins touched, first-touch order *)
   mutable changed_count : int;
   acc : facc;
-  (* Always-on flip counter over the flooded costs, mirroring
-     {!Routing_obs.Oscillation}'s window-independent flip total but kept
-     in-module: a cross-module [observe ~time:_] call would box its float
-     time argument on every link, and the steady-state period must
-     allocate nothing.  The telemetry bundle layers the windowed detector
-     (flag events, per-link series) on top. *)
+  (* Always-on flip counter over the flooded costs, counting direction
+     flips the way {!Routing_obs.Oscillation} does but kept in-module: a
+     cross-module [observe ~time:_] call would box its float time argument
+     on every link, and the steady-state period must allocate nothing.
+     The telemetry bundle layers the windowed detector (flag events,
+     per-link series) on top. *)
   osc_seen : bool array; (* per link: cost observed at least once *)
   osc_last : int array; (* per link: last flooded cost *)
   osc_dir : int array; (* per link: sign of the last change; 0 = none *)
@@ -210,7 +205,7 @@ type t = {
   (* Closure caches: the hot path passes stored closures (and stored
      options, which ride through [?arg:opt] without re-wrapping) instead of
      rebuilding them every period. *)
-  mutable tree_for_f : Node.t -> Spf_tree.t;
+  tree_for : Node.t -> Spf_tree.t; (* [Spf_engine.tree engine] *)
   enabled_opt : (Link.id -> bool) option;
   mutable cost_f : Link.id -> int; (* rebuilt on switch_metric *)
   tracer : Tracer.t;
@@ -226,12 +221,6 @@ type t = {
 let make_flooders graph =
   Array.init (Graph.node_count graph) (fun i ->
       Flooder.create graph ~owner:(Node.of_int i))
-
-(* Deterministic membership in the lagging set for a stagger fraction:
-   hash the node id into [0, 1). *)
-let[@inline] lags_at ~stagger i =
-  stagger > 0.
-  && float_of_int ((i * 2654435761) land 0xFFFF) /. 65536. < stagger
 
 let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
     graph metric tm =
@@ -251,76 +240,62 @@ let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
       pool;
   let link_up = Array.make nl true in
   let obs = Option.map (fun tele -> make_obs_state tele ~links:nl) telemetry in
-  let t =
-    { graph;
-      metric;
-      flows = Flow_store.of_matrix tm;
-      flooders = make_flooders graph;
-      link_up;
-      utilization = Array.make nl 0.;
-      pool;
-      engine = Spf_engine.create ?pool ~tracer graph;
-      min_engine = Spf_engine.create ?pool ~tracer graph;
-      lag_engine = None;
-      period = 0;
-      hist = hist_create ();
-      stagger = 0.;
-      prev_costs =
-        Array.init nl (fun i -> Metric.cost metric (Link.id_of_int i));
-      adaptive_sources = false;
-      prev_first_hop = [||];
-      prev2_first_hop = [||];
-      assign = Load_assign.create graph;
-      offered = Array.make nl 0.;
-      link_delay = Array.make nl 0.;
-      link_pass = Array.make nl 0.;
-      link_src =
-        Array.init nl (fun i ->
-            Node.to_int (Graph.link graph (Link.id_of_int i)).Link.src);
-      sending = [||];
-      first_hop = [||];
-      flow_delay = [||];
-      flow_share = [||];
-      flow_hops = [||];
-      chg_ids = Array.make nl 0;
-      chg_costs = Array.make nl 0;
-      changed_costs = Array.make (Graph.node_count graph) [];
-      changed_origins = Array.make (Graph.node_count graph) 0;
-      changed_count = 0;
-      acc =
-        { f_offered = 0.;
-          f_delivered = 0.;
-          f_dropped = 0.;
-          f_delay_w = 0.;
-          f_hops_w = 0.;
-          f_min_hops_w = 0.;
-          f_bits = 0.;
-          f_max_util = 0. };
-      osc_seen = Array.make nl false;
-      osc_last = Array.make nl 0;
-      osc_dir = Array.make nl 0;
-      link_flips_total = 0;
-      tree_for_f = (fun _ -> assert false);
-      enabled_opt = Some (fun lid -> link_up.(Link.id_to_int lid));
-      cost_f = Metric.cost_fn metric;
-      tracer;
-      tr_period = Tracer.intern tracer "routing_period";
-      tr_refresh = Tracer.intern tracer "spf_refresh";
-      tr_assign = Tracer.intern tracer "flow_assign";
-      tr_flood = Tracer.intern tracer "flood";
-      tr_updates = Tracer.intern tracer "updates_flooded";
-      tr_routes = Tracer.intern tracer "routes_changed";
-      obs }
-  in
-  (* The tree a source routes on this period; built once, reads the
-     mutable stagger/lag state at call time. *)
-  t.tree_for_f <-
-    (fun src ->
-      match t.lag_engine with
-      | Some lag when lags_at ~stagger:t.stagger (Node.to_int src) ->
-        Spf_engine.tree lag src
-      | _ -> Spf_engine.tree t.engine src);
-  t
+  let engine = Spf_engine.create ?pool ~tracer graph in
+  { graph;
+    metric;
+    flows = Flow_store.of_matrix tm;
+    flooders = make_flooders graph;
+    link_up;
+    utilization = Array.make nl 0.;
+    pool;
+    engine;
+    min_engine = Spf_engine.create ?pool ~tracer graph;
+    period = 0;
+    hist = hist_create ();
+    adaptive_sources = false;
+    prev_first_hop = [||];
+    prev2_first_hop = [||];
+    assign = Load_assign.create graph;
+    offered = Array.make nl 0.;
+    link_delay = Array.make nl 0.;
+    link_pass = Array.make nl 0.;
+    link_src =
+      Array.init nl (fun i ->
+          Node.to_int (Graph.link graph (Link.id_of_int i)).Link.src);
+    sending = [||];
+    first_hop = [||];
+    flow_delay = [||];
+    flow_share = [||];
+    flow_hops = [||];
+    chg_ids = Array.make nl 0;
+    chg_costs = Array.make nl 0;
+    changed_costs = Array.make (Graph.node_count graph) [];
+    changed_origins = Array.make (Graph.node_count graph) 0;
+    changed_count = 0;
+    acc =
+      { f_offered = 0.;
+        f_delivered = 0.;
+        f_dropped = 0.;
+        f_delay_w = 0.;
+        f_hops_w = 0.;
+        f_min_hops_w = 0.;
+        f_bits = 0.;
+        f_max_util = 0. };
+    osc_seen = Array.make nl false;
+    osc_last = Array.make nl 0;
+    osc_dir = Array.make nl 0;
+    link_flips_total = 0;
+    tree_for = Spf_engine.tree engine;
+    enabled_opt = Some (fun lid -> link_up.(Link.id_to_int lid));
+    cost_f = Metric.cost_fn metric;
+    tracer;
+    tr_period = Tracer.intern tracer "routing_period";
+    tr_refresh = Tracer.intern tracer "spf_refresh";
+    tr_assign = Tracer.intern tracer "flow_assign";
+    tr_flood = Tracer.intern tracer "flood";
+    tr_updates = Tracer.intern tracer "updates_flooded";
+    tr_routes = Tracer.intern tracer "routes_changed";
+    obs }
 
 let create ?domains ?telemetry ?tracer graph kind tm =
   create_with ?domains ?telemetry ?tracer graph (Metric.create kind graph) tm
@@ -331,33 +306,16 @@ let metric t = t.metric
 
 let time_s t = float_of_int t.period *. Units.routing_period_s
 
-let period_index t = t.period
-
 let min_hop_cost = fun _ -> 1
 
 (* The engines diff the flooded costs (and the up/down set) themselves, so
    refresh is cheap whenever a period flooded no significant update — no
-   dirty flags to maintain.  Laggard sources under [stagger] route on the
-   previous period's costs, served by a second engine fed [prev_costs]. *)
+   dirty flags to maintain.  Every PSN routes on the costs flooded last
+   period: "all the nodes in a network adjust their routes …
+   simultaneously" (§3.2). *)
 let refresh_trees t =
   Spf_engine.refresh ?enabled:t.enabled_opt t.min_engine ~cost:min_hop_cost;
-  if t.stagger > 0. then begin
-    let lags n = lags_at ~stagger:t.stagger (Node.to_int n) in
-    Spf_engine.refresh t.engine
-      ~wanted:(fun n -> not (lags n))
-      ?enabled:t.enabled_opt ~cost:t.cost_f;
-    let lag_engine =
-      match t.lag_engine with
-      | Some e -> e
-      | None ->
-        let e = Spf_engine.create ?pool:t.pool ~tracer:t.tracer t.graph in
-        t.lag_engine <- Some e;
-        e
-    in
-    Spf_engine.refresh lag_engine ~wanted:lags ?enabled:t.enabled_opt
-      ~cost:(fun lid -> t.prev_costs.(Link.id_to_int lid))
-  end
-  else Spf_engine.refresh ?enabled:t.enabled_opt t.engine ~cost:t.cost_f
+  Spf_engine.refresh ?enabled:t.enabled_opt t.engine ~cost:t.cost_f
 
 let spf_stats t = Spf_engine.stats t.engine
 
@@ -395,11 +353,7 @@ let tick t =
   refresh_trees t;
   gc_finish gc_r;
   Tracer.span_end tr t.tr_refresh;
-  (* Snapshot this period's flooded costs for next period's laggards. *)
   let nl = Graph.link_count t.graph in
-  for i = 0 to nl - 1 do
-    t.prev_costs.(i) <- Metric.cost t.metric (Link.id_of_int i)
-  done;
   let nf = Flow_store.length t.flows in
   let demand = Flow_store.demand_col t.flows in
   let throttle = Flow_store.throttle_col t.flows in
@@ -426,7 +380,7 @@ let tick t =
   Array.fill t.offered 0 nl 0.;
   Tracer.span_begin tr t.tr_assign;
   let pool = if nf >= parallel_flow_threshold then t.pool else None in
-  Load_assign.assign ?pool t.assign ~flows:t.flows ~tree_for:t.tree_for_f
+  Load_assign.assign ?pool t.assign ~flows:t.flows ~tree_for:t.tree_for
     ~sending:t.sending ~offered:t.offered ~first_hop:t.first_hop;
   Tracer.span_end tr t.tr_assign;
   (* Route-change accounting against the previous periods (§3.3's route
@@ -469,7 +423,7 @@ let tick t =
   (* Pass 2: per-flow delay, hop counts and thinning over hot links — path
      totals served in O(1) per flow from the root-outward sweep, landing in
      per-flow columns rather than boxed callback arguments. *)
-  Load_assign.metrics_into t.assign ~flows:t.flows ~tree_for:t.tree_for_f
+  Load_assign.metrics_into t.assign ~flows:t.flows ~tree_for:t.tree_for
     ~link_delay:t.link_delay ~link_pass:t.link_pass ~delay_s:t.flow_delay
     ~share:t.flow_share ~hops:t.flow_hops;
   let fsrc = Flow_store.src_col t.flows in
@@ -691,23 +645,9 @@ let set_adaptive_sources t enabled =
   t.adaptive_sources <- enabled;
   if not enabled then Flow_store.reset_throttle t.flows
 
-let set_stagger t fraction =
-  if fraction < 0. || fraction > 1. then invalid_arg "Flow_sim.set_stagger";
-  t.stagger <- fraction
-
 let link_utilization t lid = t.utilization.(Link.id_to_int lid)
 
 let link_cost t lid = Metric.cost t.metric lid
-
-let route_change_totals t =
-  let h = t.hist in
-  let routes = ref 0 and nh = ref 0 and links = ref 0 in
-  for k = 0 to h.len - 1 do
-    routes := !routes + h.h_routes.(k);
-    nh := !nh + h.h_nh_flips.(k);
-    links := !links + h.h_link_flips.(k)
-  done;
-  (!routes, !nh, !links)
 
 let indicators t ?(skip = 0) () =
   let h = t.hist in

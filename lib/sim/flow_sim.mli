@@ -54,7 +54,7 @@ val create :
 (** The flow simulator is fully deterministic: same inputs, same run.
     [domains] (default {!Domain_pool.default_size}, i.e. the
     [ARPANET_DOMAINS] environment variable or 1) sizes the domain pool the
-    SPF engine fans per-source computations over; because every engine
+    SPF engines fan per-source computations over; because every engine
     configuration serves bit-identical trees, the domain count never
     changes results — only wall-clock time.
 
@@ -83,8 +83,7 @@ val graph : t -> Graph.t
 val metric : t -> Metric.t
 
 val time_s : t -> float
-
-val period_index : t -> int
+(** Simulated seconds at the end of the last period run (0 before any). *)
 
 val tick : t -> unit
 (** Run one routing period, retaining its statistics in the simulator's
@@ -139,16 +138,6 @@ val set_adaptive_sources : t -> bool -> unit
     adaptation step is one array pass.  Disabling resets every throttle
     to 1. *)
 
-val set_stagger : t -> float -> unit
-(** What-if knob for §3.2's third oscillation ingredient ("all the nodes
-    in a network adjust their routes ... simultaneously"): make the given
-    fraction of nodes apply routing updates one period late.  The real PSN
-    could not do this — it would break destination-only forwarding — so
-    transient forwarding loops become possible; the flow simulator routes
-    each flow from its source's tree and does not model them.  0 (the
-    default) is faithful ARPANET behaviour.
-    @raise Invalid_argument outside [\[0, 1\]]. *)
-
 val link_utilization : t -> Link.id -> float
 (** Utilization in the most recent period (0 before any step). *)
 
@@ -159,11 +148,6 @@ val spf_stats : t -> Spf_engine.stats
 (** Live counters of the main SPF engine: how many refreshes were skipped
     outright (no significant update flooded), how many source trees were
     reused versus recomputed. *)
-
-val route_change_totals : t -> int * int * int
-(** [(routes_changed, next_hop_flips, link_flips)] summed over every
-    period so far — the Rzepka & Chołda-style change counters the sweep
-    reports publish per point. *)
 
 val indicators : t -> ?skip:int -> unit -> Measure.indicators
 (** Aggregate the retained per-period stats into Table-1 indicators,

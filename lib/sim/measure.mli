@@ -27,8 +27,8 @@ type indicators = {
           the hop it used two periods ago) — the sharpest oscillation
           signature, after Rzepka & Chołda's route-change counters *)
   link_flips_per_period : float;
-      (** per-link cost direction flips per period, summed over links
-          ({!Routing_obs.Oscillation.total_flips}) *)
+      (** per-link flooded-cost direction flips (a rise straight after a
+          fall, or the reverse) per period, summed over links *)
 }
 
 val pp_indicators : Format.formatter -> indicators -> unit

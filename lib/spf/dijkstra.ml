@@ -1,19 +1,16 @@
 open! Import
 
-type tie_break = [ `Neutral | `Favor of Link.id | `Avoid of Link.id ]
-
 let max_link_cost = 254
 
 (* Composite edge weights encode lexicographic comparison of
-   (path cost, probe-link preference, hop count) in a single positive
-   integer, keeping plain Dijkstra applicable:
+   (path cost, hop count) in a single positive integer, keeping plain
+   Dijkstra applicable:
 
-     w(l) = (cost(l) * cost_scale + probe_adjust(l)) * hop_scale + 1
+     w(l) = cost(l) * cost_scale * hop_scale + 1
 
-   probe_adjust is -1 on the probed link under [`Favor] (an infinitesimal
-   discount: among equal-cost paths, ones using the link win), +1 under
-   [`Avoid].  The +1 per edge makes hop count the final tie-break.  With
-   cost <= 254 and paths < 256 hops the sums stay far below max_int. *)
+   The +1 per edge makes hop count the tie-break among equal-cost paths.
+   With cost <= 254 and paths < 256 hops the sums stay far below
+   max_int. *)
 let hop_scale = 256
 
 let cost_scale = 1024
@@ -24,20 +21,9 @@ let[@inline never] bad_cost c =
   invalid_arg
     (Printf.sprintf "Dijkstra: link cost %d outside [1, %d]" c max_link_cost)
 
-let weight_of ~adjust c =
+let cost_weight c =
   if c < 1 || c > max_link_cost then bad_cost c;
-  (((c * cost_scale) + adjust) * hop_scale) + 1
-
-let cost_weight c = weight_of ~adjust:0 c
-
-let edge_weight ~tie_break ~cost lid =
-  let adjust =
-    match tie_break with
-    | `Neutral -> 0
-    | `Favor probe -> if Link.id_equal probe lid then -1 else 0
-    | `Avoid probe -> if Link.id_equal probe lid then 1 else 0
-  in
-  weight_of ~adjust (cost lid)
+  (c * cost_scale * hop_scale) + 1
 
 (* Memoized per-link composite weights: one cost_fn call + range check per
    link per refresh, instead of per edge per source.  Disabled links carry
@@ -45,38 +31,28 @@ let edge_weight ~tie_break ~cost lid =
 (* Fill a caller-owned table in place.  A plain for-loop rather than
    [Graph.iter_links]: this runs every routing period on the simulator's
    steady path, which must not allocate (an [iter_links] closure would). *)
-let compute_weights_into ?(tie_break = `Neutral) ?(enabled = fun _ -> true) g
-    ~cost weights =
+let compute_weights_into ?(enabled = fun _ -> true) g ~cost weights =
   for i = 0 to Graph.link_count g - 1 do
     let lid = Link.id_of_int i in
-    weights.(i) <-
-      (if enabled lid then edge_weight ~tie_break ~cost lid else -1)
+    weights.(i) <- (if enabled lid then cost_weight (cost lid) else -1)
   done
 
-let compute_weights ?tie_break ?enabled g ~cost =
+let compute_weights ?enabled g ~cost =
   let weights = Array.make (Graph.link_count g) (-1) in
-  compute_weights_into ?tie_break ?enabled g ~cost weights;
+  compute_weights_into ?enabled g ~cost weights;
   weights
 
 let composite ~dist ~hops =
   if dist = max_int then max_int else (dist * cost_scale * hop_scale) + hops
 
-(* Inverse of [composite] under [`Neutral] tie-breaking: the hop count
-   lives in the low byte and the unit distance above the scales, with the
-   half-up rounding that absorbs [`Favor]/[`Avoid] adjustments (for which
-   the middle bits are nonzero). *)
-(* Int-returning halves of [decompose]: results cross module boundaries
-   unboxed, so the repair resettle loop can re-decode patched distances
-   without allocating the pair. *)
+(* Inverse of [composite]: the hop count lives in the low byte and the
+   unit distance above the scales.  Two int-returning halves rather than a
+   pair: results cross module boundaries unboxed, so the repair resettle
+   loop can re-decode patched distances without allocating. *)
 let composite_units comp =
-  if comp = max_int then max_int
-  else
-    (comp / hop_scale / cost_scale)
-    + (if (comp / hop_scale) mod cost_scale > cost_scale / 2 then 1 else 0)
+  if comp = max_int then max_int else comp / hop_scale / cost_scale
 
 let composite_hops comp = if comp = max_int then max_int else comp mod hop_scale
-
-let decompose comp = (composite_units comp, composite_hops comp)
 
 (* Reusable work arrays for the inner loop.  The settled flags, composite
    distances and the heap never escape a computation, so one scratch can
@@ -171,8 +147,8 @@ let compute_flat_s s g ~weights root =
 
 let compute_flat g ~weights root = compute_flat_s (scratch ()) g ~weights root
 
-let compute ?tie_break ?enabled g ~cost root =
-  compute_flat g ~weights:(compute_weights ?tie_break ?enabled g ~cost) root
+let compute ?enabled g ~cost root =
+  compute_flat g ~weights:(compute_weights ?enabled g ~cost) root
 
 (* Chunk per-source fan-outs so domains claim several sources per visit to
    the pool's atomic counter: one task per source made small graphs spend
@@ -180,8 +156,8 @@ let compute ?tie_break ?enabled g ~cost root =
    regression in BENCH_spf.json). *)
 let source_chunk ~sources ~domains = max 1 (sources / (domains * 8))
 
-let all_pairs ?tie_break ?enabled ?pool g ~cost =
-  let weights = compute_weights ?tie_break ?enabled g ~cost in
+let all_pairs ?enabled ?pool g ~cost =
+  let weights = compute_weights ?enabled g ~cost in
   let n = Graph.node_count g in
   let trees = Array.make n None in
   let one s i = trees.(i) <- Some (compute_flat_s s g ~weights (Node.of_int i)) in

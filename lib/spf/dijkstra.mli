@@ -7,12 +7,8 @@ open! Import
     (positive integers).  The SPF algorithm is shared by every metric —
     D-SPF, HN-SPF and min-hop differ only in the costs they feed in (§2.2).
 
-    {b Tie-breaking.}  §5.2's response-map analysis requires computing
-    routes with "ties always broken in favor of using the given link" and,
-    for the other end of the traffic band, against it.  [tie_break]
-    implements this as an infinitesimal cost adjustment on the probe link;
-    the default [`Neutral] breaks remaining ties toward fewer hops and then
-    lower link ids, making route computation fully deterministic.
+    {b Tie-breaking.}  Equal-cost paths are broken toward fewer hops and
+    then lower link ids, making route computation fully deterministic.
 
     {b Hot path.}  Internally every computation runs over the graph's flat
     (CSR) adjacency and a per-link table of memoized composite edge weights
@@ -21,18 +17,11 @@ open! Import
     many trees against the same costs — {!all_pairs}, {!Spf_engine} — build
     the weight table once and share it. *)
 
-type tie_break =
-  [ `Neutral  (** fewer hops, then lower link ids *)
-  | `Favor of Link.id  (** equal-cost ties prefer paths using the link *)
-  | `Avoid of Link.id  (** equal-cost ties prefer paths avoiding the link *)
-  ]
-
 val max_link_cost : int
 (** Largest admissible per-link cost (254 routing units — the delay metric's
     8-bit field, §3.2's 127:1 range anchor). *)
 
 val compute :
-  ?tie_break:tie_break ->
   ?enabled:(Link.id -> bool) ->
   Graph.t ->
   cost:(Link.id -> int) ->
@@ -46,20 +35,18 @@ val compute :
     [\[1, max_link_cost\]]. *)
 
 val compute_weights :
-  ?tie_break:tie_break ->
   ?enabled:(Link.id -> bool) ->
   Graph.t ->
   cost:(Link.id -> int) ->
   int array
 (** The composite edge-weight table, indexed by link id: each enabled
-    link's cost folded with the tie-break adjustment and the per-hop +1;
+    link's {!cost_weight} (its cost scaled, plus the per-hop +1);
     disabled links carry the sentinel [-1].  Equal tables (under [(=)])
     guarantee identical trees from {!compute_flat}.
     @raise Invalid_argument if any enabled link's cost is outside
     [\[1, max_link_cost\]]. *)
 
 val compute_weights_into :
-  ?tie_break:tie_break ->
   ?enabled:(Link.id -> bool) ->
   Graph.t ->
   cost:(Link.id -> int) ->
@@ -71,7 +58,7 @@ val compute_weights_into :
 
 val cost_weight : int -> int
 (** The composite weight {!compute_weights} stores for one enabled link of
-    the given cost under [`Neutral] tie-breaking.  A one-link path's
+    the given cost.  A one-link path's
     composite distance is its weight, so [composite_units (cost_weight c)]
     is [c].  Allocation-free.
     @raise Invalid_argument if the cost is outside
@@ -102,27 +89,22 @@ val source_chunk : sources:int -> domains:int -> int
 
 val composite : dist:int -> hops:int -> int
 (** Re-encode a tree's per-node [dist] (routing units) and [hops] into the
-    composite distance the inner loop compared, assuming [`Neutral]
-    tie-breaking (the encoding is lossy under [`Favor]/[`Avoid]).
-    [max_int] maps to [max_int].  Used by {!Spf_engine} to reason about
+    composite distance the inner loop compared.  [max_int] maps to
+    [max_int].  Used by {!Spf_engine} to reason about
     whether a weight change can affect a tree. *)
 
-val decompose : int -> int * int
-(** Inverse of {!composite} under [`Neutral] tie-breaking: composite
-    distance back to [(units, hops)].  [max_int] maps to
-    [(max_int, max_int)].  Used by the repair path to re-decode patched
-    distances exactly as {!compute_flat} decodes fresh ones. *)
-
 val composite_units : int -> int
-(** First component of {!decompose}, returned unboxed — the repair
-    resettle loop re-decodes per popped node and must not allocate the
-    pair. *)
+(** Inverse of {!composite}, first half: composite distance back to
+    routing units ([max_int] maps to [max_int]).  Used by the repair path
+    to re-decode patched distances exactly as {!compute_flat} decodes
+    fresh ones; the two halves return unboxed ints, so the repair resettle
+    loop re-decodes per popped node without allocating a pair. *)
 
 val composite_hops : int -> int
-(** Second component of {!decompose}, returned unboxed. *)
+(** Inverse of {!composite}, second half: composite distance back to the
+    hop count ([max_int] maps to [max_int]). *)
 
 val all_pairs :
-  ?tie_break:tie_break ->
   ?enabled:(Link.id -> bool) ->
   ?pool:Domain_pool.t ->
   Graph.t ->

@@ -42,9 +42,7 @@ type stats = {
 type t = {
   graph : Graph.t;
   pool : Domain_pool.t option;
-  threshold : float;
   repair : bool;
-  repair_grain : int;
   tracer : Tracer.t;
   tr_recompute : int; (* interned "spf_recompute" *)
   tr_repair : int; (* interned "spf_repair" *)
@@ -58,13 +56,20 @@ type t = {
   stats : stats;
 }
 
-let create ?pool ?(tracer = Tracer.null) ?(threshold = 0.25) ?(repair = true)
-    ?(repair_grain = 256) graph =
+(* A refresh that changes more than this fraction of the links
+   recomputes every wanted source outright instead of proving and
+   repairing tree by tree. *)
+let full_sweep_fraction = 0.25
+
+(* Affected-tree count at or above which repairs fan out over the pool:
+   repairs are usually so cheap that the fan-out only pays off for large
+   batches. *)
+let repair_grain = 256
+
+let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
   { graph;
     pool;
-    threshold;
     repair;
-    repair_grain;
     tracer;
     tr_recompute = Tracer.intern tracer "spf_recompute";
     tr_repair = Tracer.intern tracer "spf_repair";
@@ -137,7 +142,7 @@ let repair_trees t sources changes =
     let weights = t.weights in
     let g = t.graph in
     (match t.pool with
-    | Some pool when Domain_pool.size pool > 1 && nt >= t.repair_grain ->
+    | Some pool when Domain_pool.size pool > 1 && nt >= repair_grain ->
       let resettled = Array.make nt 0 in
       let chunk =
         Dijkstra.source_chunk ~sources:nt ~domains:(Domain_pool.size pool)
@@ -242,7 +247,7 @@ let refresh ?wanted ?enabled t ~cost =
       let changes = !changes in
       if
         float_of_int !nchanged
-        > t.threshold *. float_of_int (Graph.link_count t.graph)
+        > full_sweep_fraction *. float_of_int (Graph.link_count t.graph)
       then begin
         t.stats.full_sweeps <- t.stats.full_sweeps + 1;
         let todo = ref [] in
@@ -282,13 +287,3 @@ let tree t node =
     t.trees.(i) <- Some tree;
     t.stats.sources_recomputed <- t.stats.sources_recomputed + 1;
     tree
-
-let trees t =
-  if Array.length t.weights = 0 then
-    invalid_arg "Spf_engine.trees: refresh the engine first";
-  let todo = ref [] in
-  for i = Graph.node_count t.graph - 1 downto 0 do
-    if t.trees.(i) = None then todo := i :: !todo
-  done;
-  if !todo <> [] then recompute t !todo;
-  Array.map Option.get t.trees

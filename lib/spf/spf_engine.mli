@@ -18,7 +18,7 @@ open! Import
       dynamically {e repairs} just the affected sources in place
       ({!Spf_repair}), re-settling only the disturbed region of each
       tree;
-    - if a large fraction changed (more than [threshold] of the links),
+    - if a large fraction changed (more than a quarter of the links),
       recomputes every wanted source outright.
 
     Repair and recomputation fan out over an optional {!Domain_pool.t}.
@@ -27,8 +27,7 @@ open! Import
     from scratch on the current costs: reuse happens only when a tree
     provably equals its recomputation (same distances, hops and parent
     links), repair restores exactly the from-scratch fixpoint, and
-    parallel sources each write only their own slot.  Trees use [`Neutral]
-    tie-breaking.
+    parallel sources each write only their own slot.
 
     {b Aliasing.}  Repair patches trees in place: a [Spf_tree.t] obtained
     from the engine reflects the {e latest} refresh, not the one it was
@@ -40,19 +39,14 @@ type t
 val create :
   ?pool:Domain_pool.t ->
   ?tracer:Tracer.t ->
-  ?threshold:float ->
   ?repair:bool ->
-  ?repair_grain:int ->
   Graph.t ->
   t
-(** [threshold] (default 0.25) is the changed-links fraction above which a
-    refresh abandons per-source analysis and recomputes everything.
-    [repair] (default [true]) selects in-place dynamic repair for affected
-    sources; [false] falls back to per-source full recomputation (useful
-    for differential testing and benchmarking).  [repair_grain] (default
-    256) is the affected-tree count at or above which repairs fan out over
-    [pool] — repairs are usually so cheap that the fan-out only pays off
-    for large batches.
+(** [repair] (default [true]) selects in-place dynamic repair for affected
+    sources; [false] falls back to per-source full recomputation — the
+    reference the benchmarks compare repair against.  Repairs fan out over
+    [pool] once a refresh affects 256 or more trees; smaller batches,
+    the common case, repair on the calling domain.
 
     [tracer] (default {!Tracer.null}) flight-records the engine:
     recompute and repair batches become [spf_recompute] / [spf_repair]
@@ -81,18 +75,13 @@ val tree : t -> Node.t -> Spf_tree.t
     last refresh didn't want it.
     @raise Invalid_argument before the first {!refresh}. *)
 
-val trees : t -> Spf_tree.t array
-(** All trees, indexed by node id — [Dijkstra.all_pairs] served from the
-    engine's cache.  Computes any missing sources first.
-    @raise Invalid_argument before the first {!refresh}. *)
-
 type stats = {
   mutable refreshes : int;  (** {!refresh} calls *)
   mutable skipped : int;
       (** refreshes where no weight changed and no tree was missing *)
   mutable full_sweeps : int;
       (** refreshes that recomputed every wanted source (first refresh, or
-          changed set above [threshold]) *)
+          more than a quarter of the links changed) *)
   mutable sources_recomputed : int;  (** single-source Dijkstra runs *)
   mutable sources_repaired : int;
       (** source trees patched in place by dynamic repair *)

@@ -10,11 +10,11 @@ open! Import
     graph.
 
     The repair leans on the same fact as {!Spf_engine}'s reuse proof:
-    under [`Neutral] tie-breaking the from-scratch tree is a pure function
-    of the weight table — every node's distance is the true shortest
-    composite distance, and its parent is the lowest-id enabled in-link
-    achieving it.  The repair re-establishes exactly that local
-    characterization on the region it disturbs:
+    the from-scratch tree is a pure function of the weight table — every
+    node's distance is the true shortest composite distance, and its
+    parent is the lowest-id enabled in-link achieving it.  The repair
+    re-establishes exactly that local characterization on the region it
+    disturbs:
 
     + {b Invalidate}: a weight increase (or disable) can only lengthen
       routes through the link, so only the subtree hanging below it is
@@ -51,7 +51,7 @@ val repair :
 (** [repair s g ~tree ~weights ~changes] patches [tree] in place and
     returns the number of nodes re-settled (0 when the changes turn out
     not to touch this tree).  [weights] is the {e new} composite table
-    from [Dijkstra.compute_weights] (under [`Neutral] tie-breaking);
+    from [Dijkstra.compute_weights];
     [changes] lists [(link, old_weight, new_weight)] for every table
     entry that differs, with [-1] for disabled.  [tree] must have been
     exact under the old table.  Any negative weight, here and in

@@ -33,9 +33,7 @@ let hops_i t i = t.hops.(i)
 let parent_id t i =
   match t.parent.(i) with None -> -1 | Some lid -> Link.id_to_int lid
 
-let unsafe_arrays t = (t.parent, t.dist, t.hops)
-
-(* Individual array accessors: the tuple return of [unsafe_arrays] boxes,
+(* The tree's own arrays, one accessor each: a tuple return would box,
    which the repair path cannot afford on its steady path. *)
 
 let unsafe_parent t = t.parent
@@ -106,11 +104,3 @@ let equal a b =
          a.parent;
        !ok
      end
-
-let equal_dists a b =
-  Array.length a.dist = Array.length b.dist
-  && Node.equal a.root b.root
-  &&
-  let ok = ref true in
-  Array.iteri (fun i d -> if d <> b.dist.(i) then ok := false) a.dist;
-  !ok

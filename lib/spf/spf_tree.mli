@@ -48,16 +48,12 @@ val parent_id : t -> int -> int
 (** The link id over which the path enters node [i], or [-1] for the root
     and unreachable nodes. *)
 
-val unsafe_arrays : t -> Link.id option array * int array * int array
-(** [(parent, dist, hops)] — the tree's own arrays, exposed so
-    {!Spf_repair} can patch them in place.  Mutating them silently changes
-    what every holder of the tree sees; only the repair path, which
-    restores the [Dijkstra.compute] invariant before returning, may
-    write. *)
-
 val unsafe_parent : t -> Link.id option array
-(** The parent array alone — same caveats as {!unsafe_arrays}, without the
-    tuple allocation (the repair path fetches each array separately). *)
+(** The tree's own parent array, exposed (with {!unsafe_dist} and
+    {!unsafe_hops}) so {!Spf_repair} can patch it in place.  Mutating it
+    silently changes what every holder of the tree sees; only the repair
+    path, which restores the [Dijkstra.compute] invariant before
+    returning, may write. *)
 
 val unsafe_dist : t -> int array
 
@@ -84,7 +80,3 @@ val equal : t -> t -> bool
 (** Structural equality: same root, same distances, hop counts {e and}
     parent links for every node.  The determinism tests use this to assert
     parallel and sequential computations agree bit-for-bit. *)
-
-val equal_dists : t -> t -> bool
-(** True when the two trees assign every node the same distance (parents may
-    differ between equally short trees). *)

@@ -154,27 +154,6 @@ let test_dijkstra_tie_break_neutral_deterministic () =
         | Some l1, Some l2 -> Link.id_equal l1.Link.id l2.Link.id
         | _ -> false))
 
-let test_dijkstra_favor_avoid () =
-  (* A-B-D vs A-C-D: equal cost; favoring/avoiding a link must decide. *)
-  let b = Builder.create () in
-  let _ = Builder.trunk b Line_type.T56 "A" "B" in
-  let _ = Builder.trunk b Line_type.T56 "B" "D" in
-  let _ = Builder.trunk b Line_type.T56 "A" "C" in
-  let _ = Builder.trunk b Line_type.T56 "C" "D" in
-  let g = Builder.build b in
-  let a = node g "A" and d = node g "D" in
-  let bd = Option.get (Graph.find_link g ~src:(node g "B") ~dst:d) in
-  let favor = Dijkstra.compute ~tie_break:(`Favor bd.Link.id) g
-      ~cost:(constant_cost 30) a in
-  Alcotest.(check bool) "favored link used" true
-    (Spf_tree.uses_link favor d bd.Link.id);
-  let avoid = Dijkstra.compute ~tie_break:(`Avoid bd.Link.id) g
-      ~cost:(constant_cost 30) a in
-  Alcotest.(check bool) "avoided link not used" false
-    (Spf_tree.uses_link avoid d bd.Link.id);
-  (* Tie-breaking must not change distances. *)
-  Alcotest.(check int) "same distance" (Spf_tree.dist favor d) (Spf_tree.dist avoid d)
-
 let test_dijkstra_enabled () =
   let g = diamond () in
   let a = node g "A" and d = node g "D" in
@@ -509,7 +488,6 @@ let () =
             test_dijkstra_reroutes_around_expensive_link;
           Alcotest.test_case "deterministic ties" `Quick
             test_dijkstra_tie_break_neutral_deterministic;
-          Alcotest.test_case "favor/avoid" `Quick test_dijkstra_favor_avoid;
           Alcotest.test_case "enabled" `Quick test_dijkstra_enabled;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "bad cost" `Quick test_dijkstra_rejects_bad_cost ]

@@ -11,6 +11,7 @@ module Domain_pool = Routing_metric.Domain_pool
 module Flow_sim = Routing_sim.Flow_sim
 module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
+module Tracer = Routing_obs.Tracer
 
 let random_graph seed =
   let rng = Rng.create seed in
@@ -223,34 +224,66 @@ let test_parallel_engine_matches_sequential () =
     costs.(Rng.int rng nl) <- 1 + Rng.int rng 40
   done
 
-(* Same agreement when the repairs themselves fan out over the pool:
-   [repair_grain:1] forces the parallel branch for any affected set. *)
+(* Same agreement when the repairs themselves fan out over the pool.  The
+   engine fans repairs out only for batches of 256 or more affected trees,
+   so this runs on a 296-node hierarchical graph and moves every backbone
+   trunk's cost at once: nearly every source's tree routes over the
+   backbone, so each refresh repairs close to all of them.  The pool
+   probe proves the fan-out ran: worker domains record the [spf_repair]
+   chunks they drained on their own tracks. *)
 let test_parallel_repair_matches_sequential () =
-  let g = Arpanet.topology () in
+  let g =
+    Generators.hierarchical ~cores:8 ~pops_per_core:4 ~access_per_pop:8 ()
+  in
+  let tracer = Tracer.create () in
   let pool = Domain_pool.create 3 in
+  Domain_pool.set_probe pool (Some (Tracer.pool_probe tracer));
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) @@ fun () ->
-  let par = Spf_engine.create ~pool ~repair_grain:1 g in
+  let par = Spf_engine.create ~pool ~tracer g in
   let seq = Spf_engine.create g in
+  let backbone =
+    List.filter_map
+      (fun (l : Link.t) ->
+        if l.Link.line_type = Line_type.T448 then Some (Link.id_to_int l.Link.id)
+        else None)
+      (Graph.links g)
+  in
+  let costs = Array.make (Graph.link_count g) 20 in
   let rng = Rng.create 23 in
-  let nl = Graph.link_count g in
-  let costs = Array.init nl (fun _ -> 1 + Rng.int rng 40) in
-  for _ = 0 to 8 do
+  let largest_batch = ref 0 in
+  for round = 0 to 5 do
+    if round > 0 then
+      List.iter
+        (fun i -> costs.(i) <- 10 + Rng.int rng 30)
+        backbone;
     let cost l = costs.(Link.id_to_int l) in
+    let before = (Spf_engine.stats par).Spf_engine.sources_repaired in
     Spf_engine.refresh par ~cost;
     Spf_engine.refresh seq ~cost;
+    largest_batch :=
+      max !largest_batch
+        ((Spf_engine.stats par).Spf_engine.sources_repaired - before);
     Graph.iter_nodes g (fun node ->
         Alcotest.(check bool)
-          (Printf.sprintf "trees agree at node %d" (Node.to_int node))
+          (Printf.sprintf "round %d: trees agree at node %d" round
+             (Node.to_int node))
           true
-          (Spf_tree.equal (Spf_engine.tree seq node) (Spf_engine.tree par node)));
-    costs.(Rng.int rng nl) <- 1 + Rng.int rng 40
+          (Spf_tree.equal (Spf_engine.tree seq node) (Spf_engine.tree par node)))
   done;
-  let s = Spf_engine.stats par in
   Alcotest.(check bool)
-    (Printf.sprintf "parallel branch repaired trees (%d repaired)"
-       s.Spf_engine.sources_repaired)
-    true
-    (s.Spf_engine.sources_repaired > 0)
+    (Printf.sprintf "one refresh repaired >= 256 trees (%d)" !largest_batch)
+    true (!largest_batch >= 256);
+  let spf_repair = Tracer.intern tracer "spf_repair" in
+  let self = (Domain.self () :> int) in
+  let worker_chunks = ref 0 in
+  for slot = 0 to Tracer.slots tracer - 1 do
+    if Tracer.slot_domain tracer slot <> self then
+      Tracer.iter_slot tracer slot (fun ~ts:_ ~kind ~name ~a:_ ~b:_ ->
+          if kind = Tracer.Begin && name = spf_repair then incr worker_chunks)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "worker domains ran spf_repair chunks (%d)" !worker_chunks)
+    true (!worker_chunks > 0)
 
 let flap_scenario sim =
   let g = Flow_sim.graph sim in
