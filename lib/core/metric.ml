@@ -126,31 +126,15 @@ let flood t lid c =
   t.flooded.(Link.id_to_int lid) <- c;
   t.updates <- t.updates + 1
 
-let period_update t lid ~measured_delay_s =
-  match t.states.(Link.id_to_int lid) with
-  | Static | Static_cost _ -> None
-  | Delay (d, sig_state) ->
-    let c = Dspf.period_update d ~measured_delay_s in
-    if Significance.consider sig_state ~cost:c then begin
-      flood t lid c;
-      Some c
-    end
-    else None
-  | Hop_normalized (h, sig_state) ->
-    let c = Hnm.period_update h ~measured_delay_s in
-    if Significance.consider sig_state ~cost:c then begin
-      flood t lid c;
-      Some c
-    end
-    else None
-
-(* Batch form of {!period_update} for the flow simulator's hot loop: one
-   call per period instead of one per link.  The measurement pipeline runs
-   as staged array sweeps — delay→utilization in {!Queueing}, smoothing in
-   {!Filter}, the linear transform in {!Hnm_params} — so every float stays
-   inside the module that computes it; the per-link finish (movement
-   limits, bias floor, significance) crosses module boundaries with
-   integers only.  A quiet period allocates nothing. *)
+(* One call per period for every link, the only update entry point.  It
+   computes what {!Dspf.period_update} / {!Hnm.period_update} followed by
+   {!Significance.consider} compute link by link, but the measurement
+   pipeline runs as staged array sweeps — delay→utilization in
+   {!Queueing}, smoothing in {!Filter}, the linear transform in
+   {!Hnm_params} — so every float stays inside the module that computes
+   it; the per-link finish (movement limits, bias floor, significance)
+   crosses module boundaries with integers only.  A quiet period
+   allocates nothing. *)
 let period_update_all t ~up ~link_delay_s ~changed_ids ~changed_costs =
   let n = Array.length t.states in
   let count = ref 0 in
@@ -194,10 +178,6 @@ let period_update_all t ~up ~link_delay_s ~changed_ids ~changed_costs =
     done);
   !count
 [@@hot_path]
-
-let period_update_utilization t lid ~utilization =
-  let link = Graph.link t.graph lid in
-  period_update t lid ~measured_delay_s:(Queueing.delay_s link ~utilization)
 
 let link_up t lid =
   let link = Graph.link t.graph lid in

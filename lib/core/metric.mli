@@ -48,13 +48,6 @@ val local_cost : t -> Link.id -> int
 val cost_fn : t -> Link.id -> int
 (** [cost] as a function, for {!Routing_spf.Dijkstra.compute}. *)
 
-val period_update : t -> Link.id -> measured_delay_s:float -> int option
-(** Feed one link's measured average delay for the routing period just
-    ended.  Returns [Some cost] when the change is significant (or the
-    50-second timer fired) and an update was "flooded" (i.e. {!cost} now
-    returns the new value); [None] otherwise.  Min-hop always returns
-    [None]. *)
-
 val period_update_all :
   t ->
   up:bool array ->
@@ -62,15 +55,17 @@ val period_update_all :
   changed_ids:int array ->
   changed_costs:int array ->
   int
-(** Batch {!period_update} over every link in one call: link [i] is skipped
-    unless [up.(i)], and otherwise fed [link_delay_s.(i)].  Links whose
-    update was flooded are written into [changed_ids]/[changed_costs]
-    (caller-provided, length ≥ link count) and the number of floods is
-    returned.  Allocation-free; quiet periods touch no heap at all. *)
-
-val period_update_utilization : t -> Link.id -> utilization:float -> int option
-(** Flow-simulator entry point: derive the measured delay from a steady
-    utilization via the M/M/1 model, then proceed as {!period_update}. *)
+(** Feed every link its measured average delay for the routing period
+    just ended, in one call: link [i] is skipped unless [up.(i)], and
+    otherwise fed [link_delay_s.(i)].  A link whose change is significant
+    (or whose 50-second timer fired) is "flooded" — {!cost} now returns
+    the new value — and written into [changed_ids]/[changed_costs]
+    (caller-provided, length ≥ link count) in ascending id order; the
+    number of floods is returned.  Min-hop and static-capacity never
+    flood here.  Each link gets exactly what {!Dspf.period_update} or
+    {!Hnm.period_update} followed by {!Significance.consider} would give
+    it.  Allocation-free; quiet periods touch no heap at all.  Simulators
+    reach it through [Routing_flooding.Control_plane]. *)
 
 val link_up : t -> Link.id -> unit
 (** Reset a link's state as freshly up.  Under HN-SPF the link eases in at

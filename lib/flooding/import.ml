@@ -3,3 +3,4 @@
 module Node = Routing_topology.Node
 module Link = Routing_topology.Link
 module Graph = Routing_topology.Graph
+module Metric = Routing_metric.Metric

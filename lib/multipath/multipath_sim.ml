@@ -13,22 +13,23 @@ type period_stats = {
 
 type t = {
   graph : Graph.t;
-  metric : Metric.t;
+  plane : Control_plane.t; (* the metric, flooders, update grouping *)
   tm : Traffic_matrix.t;
-  flooders : Flooder.t array;
   utilization : float array;
+  up : bool array; (* every link: this simulator never fails one *)
+  link_delay : float array; (* per link, this period *)
   mutable period : int;
   mutable history : period_stats list; (* newest first *)
 }
 
 let create_with graph metric tm =
+  let nl = Graph.link_count graph in
   { graph;
-    metric;
+    plane = Control_plane.create metric;
     tm;
-    flooders =
-      Array.init (Graph.node_count graph) (fun i ->
-          Flooder.create graph ~owner:(Node.of_int i));
-    utilization = Array.make (Graph.link_count graph) 0.;
+    utilization = Array.make nl 0.;
+    up = Array.make nl true;
+    link_delay = Array.make nl 0.;
     period = 0;
     history = [] }
 
@@ -36,10 +37,10 @@ let create graph kind tm = create_with graph (Metric.create kind graph) tm
 
 let graph t = t.graph
 
-let metric t = t.metric
+let metric t = Control_plane.metric t.plane
 
 let step t =
-  let cost = Metric.cost_fn t.metric in
+  let cost = Metric.cost_fn (metric t) in
   (* Pass 1: destination-rooted ECMP DAGs and per-link offered load; keep
      the DAGs for the delay pass. *)
   let offered = Array.make (Graph.link_count t.graph) 0. in
@@ -93,30 +94,17 @@ let step t =
           end))
     !rspfs;
   offered_total := !offered_total +. !unrouted;
-  (* Metric pass: same loop as the single-path simulator. *)
-  let changed_by_origin = Hashtbl.create 16 in
+  (* Metric pass: the same control plane as the single-path simulator. *)
   Graph.iter_links t.graph (fun (l : Link.t) ->
-      let measured =
-        Queueing.mm1k_delay_s l
-          ~utilization:t.utilization.(Link.id_to_int l.Link.id)
-      in
-      match Metric.period_update t.metric l.Link.id ~measured_delay_s:measured with
-      | Some c ->
-        let origin = Node.to_int l.Link.src in
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt changed_by_origin origin)
-        in
-        Hashtbl.replace changed_by_origin origin ((l.Link.id, c) :: existing)
-      | None -> ());
-  let updates = ref 0 in
-  let update_bits = ref 0. in
-  Hashtbl.iter
-    (fun origin costs ->
-      let update = Flooder.originate t.flooders.(origin) ~costs in
-      let outcome = Broadcast.flood t.graph t.flooders update in
-      incr updates;
-      update_bits := !update_bits +. outcome.Broadcast.bits)
-    changed_by_origin;
+      t.link_delay.(Link.id_to_int l.Link.id) <- link_delay l);
+  let updates =
+    Control_plane.period t.plane ~up:t.up ~link_delay_s:t.link_delay
+  in
+  let update_bits =
+    List.fold_left
+      (fun bits u -> bits +. (Control_plane.flood t.plane u).Broadcast.bits)
+      0. updates
+  in
   t.period <- t.period + 1;
   let stats =
     { time_s = float_of_int t.period *. Units.routing_period_s;
@@ -125,8 +113,8 @@ let step t =
       dropped_bps = !offered_total -. !delivered;
       mean_delay_s =
         (if !delivered > 0. then !delay_weighted /. !delivered else 0.);
-      updates = !updates;
-      update_bits = !update_bits;
+      updates = List.length updates;
+      update_bits;
       max_utilization = Array.fold_left Float.max 0. t.utilization }
   in
   t.history <- stats :: t.history;
@@ -136,7 +124,7 @@ let run t ~periods = List.init periods (fun _ -> step t)
 
 let link_utilization t lid = t.utilization.(Link.id_to_int lid)
 
-let link_cost t lid = Metric.cost t.metric lid
+let link_cost t lid = Metric.cost (metric t) lid
 
 let history t = List.rev t.history
 

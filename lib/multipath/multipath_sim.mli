@@ -4,7 +4,8 @@ open! Import
 
     Identical 10-second routing-period structure to
     {!Routing_sim.Flow_sim} — measured (analytic M/M/1/K) delays feed the
-    metric, significant changes flood, everyone reroutes — but traffic is
+    metric, significant changes flood (through the same
+    {!Routing_flooding.Control_plane}), everyone reroutes — but traffic is
     spread over {e all} equal-cost paths instead of a single tree.  This is
     the §4.5 extension: with it, a single large flow can use both of two
     parallel trunks at once, removing the limit cycle single-path HN-SPF

@@ -76,8 +76,6 @@ let histogram t ?(labels = []) ~lo ~hi ~bins name =
 
 let observe h x = Histo.add h x
 
-let histogram_data h = h
-
 let series t ?(labels = []) name =
   match register t ~labels name (fun () -> Series (Time_series.create name))
   with

@@ -55,8 +55,6 @@ val histogram :
 
 val observe : histogram -> float -> unit
 
-val histogram_data : histogram -> Routing_stats.Histogram.t
-
 type series
 
 val series : t -> ?labels:labels -> string -> series

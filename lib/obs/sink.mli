@@ -22,10 +22,6 @@ val file : string -> t
 (** Opens (truncating) [path] and writes one line per event.  {!close}
     flushes and closes the channel. *)
 
-val channel : out_channel -> t
-(** Writes to an existing channel; {!close} flushes but does not close it
-    (the caller owns the channel). *)
-
 val active : t -> bool
 
 val emit : t -> (unit -> Json.t) -> unit

@@ -39,6 +39,17 @@ let init_oscillation t ~links =
 
 let oscillation t = t.osc
 
+let oscillation_flag t =
+  let flags = Metrics.counter t.metrics "oscillation_flags" in
+  fun ~link ~time ~flips ->
+    Metrics.inc flags;
+    Sink.emit t.sink (fun () ->
+        Json.Obj
+          [ ("t", Json.Float time);
+            ("ev", Json.String "oscillation");
+            ("link", Json.Int link);
+            ("flips", Json.Int flips) ])
+
 let snapshot_json t =
   let osc_json =
     match t.osc with

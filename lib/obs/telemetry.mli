@@ -40,6 +40,12 @@ val init_oscillation : t -> links:int -> Oscillation.t
 
 val oscillation : t -> Oscillation.t option
 
+val oscillation_flag : t -> link:int -> time:float -> flips:int -> unit
+(** [oscillation_flag t] registers the [oscillation_flags] counter and
+    returns the [on_flag] hook for {!Oscillation.observe}: each flag bumps
+    the counter and emits [{"t","ev":"oscillation","link","flips"}]
+    through the sink. *)
+
 val snapshot_json : t -> Json.t
 (** Metrics snapshot with the oscillation summary and the sink's event
     count appended — what [--metrics-out] writes. *)

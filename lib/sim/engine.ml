@@ -33,14 +33,6 @@ let run_until t horizon =
   done;
   if horizon > t.now then t.now <- horizon
 
-let run_all t =
-  let q = t.queue in
-  while not (Event_queue.is_empty q) do
-    t.now <- Event_queue.min_time q;
-    t.processed <- t.processed + 1;
-    (Event_queue.pop_min q) ()
-  done
-
 let events_processed t = t.processed
 
 let pending t = Event_queue.length t.queue

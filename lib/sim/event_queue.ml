@@ -85,7 +85,6 @@ let add t ~time run =
 
 let min_time t = if t.len = 0 then Float.infinity else t.times.(0)
 
-let next_time t = if t.len = 0 then None else Some t.times.(0)
 
 let pop_min t =
   if t.len = 0 then invalid_arg "Event_queue.pop_min: empty queue";

@@ -27,9 +27,6 @@ val pop_min : t -> unit -> unit
     is needed.
     @raise Invalid_argument on an empty queue. *)
 
-val next_time : t -> float option
-(** Allocating convenience wrapper over {!min_time}. *)
-
 val pop : t -> (float * (unit -> unit)) option
 (** Allocating convenience wrapper over {!min_time} + {!pop_min}. *)
 

@@ -29,18 +29,12 @@ type obs_state = {
   tele : Telemetry.t;
   obs_sink : Obs_sink.t;
   updates_counter : Obs_metrics.counter;
-  osc_flags : Obs_metrics.counter;
+  on_flag : link:int -> time:float -> flips:int -> unit;
   util_series : Obs_metrics.series array;
   cost_series : Obs_metrics.series array;
   cost_hops_series : Obs_metrics.series array;
   osc : Obs_oscillation.t;
-  spf_refreshes : Obs_metrics.gauge;
-  spf_skipped : Obs_metrics.gauge;
-  spf_full_sweeps : Obs_metrics.gauge;
-  spf_recomputed : Obs_metrics.gauge;
-  spf_repaired : Obs_metrics.gauge;
-  spf_reused : Obs_metrics.gauge;
-  spf_resettled : Obs_metrics.gauge;
+  spf_gauges : Spf_gauges.t;
   gc_period : Gc_account.t option; (* when the bundle enables GC accounting *)
   gc_refresh : Gc_account.t option;
 }
@@ -51,9 +45,6 @@ let make_obs_state tele ~links =
   let per_link name =
     Array.init links (fun i -> Obs_metrics.series m ~labels:(link_label i) name)
   in
-  let spf_gauge which =
-    Obs_metrics.gauge m ~labels:[ ("counter", which) ] "spf_engine"
-  in
   let gc_account scope =
     if Telemetry.gc_enabled tele then Some (Gc_account.create m ~scope)
     else None
@@ -61,18 +52,12 @@ let make_obs_state tele ~links =
   { tele;
     obs_sink = Telemetry.sink tele;
     updates_counter = Obs_metrics.counter m "updates_flooded";
-    osc_flags = Obs_metrics.counter m "oscillation_flags";
+    on_flag = Telemetry.oscillation_flag tele;
     util_series = per_link "link_utilization";
     cost_series = per_link "link_cost";
     cost_hops_series = per_link "link_cost_hops";
     osc = Telemetry.init_oscillation tele ~links;
-    spf_refreshes = spf_gauge "refreshes";
-    spf_skipped = spf_gauge "skipped";
-    spf_full_sweeps = spf_gauge "full_sweeps";
-    spf_recomputed = spf_gauge "sources_recomputed";
-    spf_repaired = spf_gauge "sources_repaired";
-    spf_reused = spf_gauge "sources_reused";
-    spf_resettled = spf_gauge "nodes_resettled";
+    spf_gauges = Spf_gauges.create m;
     gc_period = gc_account "routing_period";
     gc_refresh = gc_account "spf_refresh" }
 
@@ -161,9 +146,8 @@ let parallel_flow_threshold = 4096
 
 type t = {
   graph : Graph.t;
-  mutable metric : Metric.t;
+  mutable plane : Control_plane.t; (* the metric, flooders, update grouping *)
   mutable flows : Flow_store.t;
-  mutable flooders : Flooder.t array;
   link_up : bool array;
   utilization : float array; (* most recent period, raw offered/capacity *)
   pool : Domain_pool.t option; (* shared by both engines *)
@@ -180,17 +164,11 @@ type t = {
   offered : float array; (* per link *)
   link_delay : float array; (* per link: M/M/1/K delay at this period's load *)
   link_pass : float array; (* per link: 1 - blocking probability *)
-  link_src : int array; (* per link: source node id, denormalized *)
   mutable sending : float array; (* per flow: demand x throttle *)
   mutable first_hop : int array; (* per flow, this period *)
   mutable flow_delay : float array; (* per flow: path delay this period *)
   mutable flow_share : float array; (* per flow: survival share *)
   mutable flow_hops : int array; (* per flow: path length; -1 = unreached *)
-  chg_ids : int array; (* links whose update flooded, from the metric *)
-  chg_costs : int array;
-  changed_costs : (Link.id * int) list array; (* per origin node *)
-  changed_origins : int array; (* origins touched, first-touch order *)
-  mutable changed_count : int;
   acc : facc;
   (* Always-on flip counter over the flooded costs, counting direction
      flips the way {!Routing_obs.Oscillation} does but kept in-module: a
@@ -218,10 +196,6 @@ type t = {
   obs : obs_state option;
 }
 
-let make_flooders graph =
-  Array.init (Graph.node_count graph) (fun i ->
-      Flooder.create graph ~owner:(Node.of_int i))
-
 let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
     graph metric tm =
   let nl = Graph.link_count graph in
@@ -242,9 +216,8 @@ let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
   let obs = Option.map (fun tele -> make_obs_state tele ~links:nl) telemetry in
   let engine = Spf_engine.create ?pool ~tracer graph in
   { graph;
-    metric;
+    plane = Control_plane.create metric;
     flows = Flow_store.of_matrix tm;
-    flooders = make_flooders graph;
     link_up;
     utilization = Array.make nl 0.;
     pool;
@@ -259,19 +232,11 @@ let create_with ?(domains = Domain_pool.default_size ()) ?telemetry ?tracer
     offered = Array.make nl 0.;
     link_delay = Array.make nl 0.;
     link_pass = Array.make nl 0.;
-    link_src =
-      Array.init nl (fun i ->
-          Node.to_int (Graph.link graph (Link.id_of_int i)).Link.src);
     sending = [||];
     first_hop = [||];
     flow_delay = [||];
     flow_share = [||];
     flow_hops = [||];
-    chg_ids = Array.make nl 0;
-    chg_costs = Array.make nl 0;
-    changed_costs = Array.make (Graph.node_count graph) [];
-    changed_origins = Array.make (Graph.node_count graph) 0;
-    changed_count = 0;
     acc =
       { f_offered = 0.;
         f_delivered = 0.;
@@ -302,7 +267,7 @@ let create ?domains ?telemetry ?tracer graph kind tm =
 
 let graph t = t.graph
 
-let metric t = t.metric
+let metric t = Control_plane.metric t.plane
 
 let time_s t = float_of_int t.period *. Units.routing_period_s
 
@@ -338,6 +303,16 @@ let[@inline] step_throttle throttle fi ~loss_fraction =
   throttle.(fi) <-
     (if loss_fraction > 0.02 then Float.max 0.05 (current *. 0.7)
      else Float.min 1. (current +. 0.05))
+
+(* Flood a period's updates, adding their wire bits to the period's
+   total; returns how many there were.  A toplevel function rather than a
+   fold over a closure, so a quiet period allocates nothing. *)
+let rec flood_updates plane acc n = function
+  | [] -> n
+  | u :: rest ->
+    let outcome = Control_plane.flood plane u in
+    acc.f_bits <- acc.f_bits +. outcome.Broadcast.bits;
+    flood_updates plane acc (n + 1) rest
 
 let tick t =
   let tr = t.tracer in
@@ -454,45 +429,24 @@ let tick t =
       acc.f_min_hops_w <- acc.f_min_hops_w +. (float_of_int mh *. carried)
     end
   done;
-  (* Metric pass: feed each up link its period delay, in one batch call.
-     Changed costs collect into per-origin slots reused across periods;
-     quiet periods return 0 without touching the heap. *)
-  let nch =
-    Metric.period_update_all t.metric ~up:t.link_up ~link_delay_s:t.link_delay
-      ~changed_ids:t.chg_ids ~changed_costs:t.chg_costs
+  (* Metric pass: feed each up link its period delay and flood one update
+     per PSN with a significant change; a quiet period returns no update
+     without touching the heap. *)
+  let pending =
+    Control_plane.period t.plane ~up:t.link_up ~link_delay_s:t.link_delay
   in
-  for k = 0 to nch - 1 do
-    let li = t.chg_ids.(k) in
-    let origin = t.link_src.(li) in
-    if t.changed_costs.(origin) = [] then begin
-      t.changed_origins.(t.changed_count) <- origin;
-      t.changed_count <- t.changed_count + 1
-    end;
-    t.changed_costs.(origin) <-
-      (Link.id_of_int li, t.chg_costs.(k)) :: t.changed_costs.(origin)
-  done;
-  let updates = ref 0 in
   Tracer.span_begin tr t.tr_flood;
-  for k = 0 to t.changed_count - 1 do
-    let origin = t.changed_origins.(k) in
-    let costs = t.changed_costs.(origin) in
-    t.changed_costs.(origin) <- [];
-    let update = Flooder.originate t.flooders.(origin) ~costs in
-    let outcome = Broadcast.flood t.graph t.flooders update in
-    incr updates;
-    acc.f_bits <- acc.f_bits +. outcome.Broadcast.bits
-  done;
+  let updates = flood_updates t.plane acc 0 pending in
   Tracer.span_end tr t.tr_flood;
-  t.changed_count <- 0;
   t.period <- t.period + 1;
   let now = time_s t in
-  let updates = !updates in
+  let metric = Control_plane.metric t.plane in
   (* Flip accounting over the flooded costs runs with or without a
      telemetry bundle; the bundle adds the windowed oscillation detector,
      per-link series and flag events. *)
   let flips_before = t.link_flips_total in
   for i = 0 to nl - 1 do
-    let cost = Metric.cost t.metric (Link.id_of_int i) in
+    let cost = Metric.cost metric (Link.id_of_int i) in
     if not t.osc_seen.(i) then begin
       t.osc_seen.(i) <- true;
       t.osc_last.(i) <- cost
@@ -508,25 +462,17 @@ let tick t =
   (match t.obs with
   | None -> ()
   | Some o ->
-    let on_flag ~link ~time ~flips =
-      Obs_metrics.inc o.osc_flags;
-      Obs_sink.emit o.obs_sink (fun () ->
-          Obs_json.Obj
-            [ ("t", Obs_json.Float time);
-              ("ev", Obs_json.String "oscillation");
-              ("link", Obs_json.Int link);
-              ("flips", Obs_json.Int flips) ])
-    in
-    let kind = Metric.kind t.metric in
+    let kind = Metric.kind metric in
     for i = 0 to nl - 1 do
       let lid = Link.id_of_int i in
-      let cost = Metric.cost t.metric lid in
+      let cost = Metric.cost metric lid in
       let idle = Metric.idle_cost kind (Graph.link t.graph lid) in
       Obs_metrics.sample o.util_series.(i) ~time:now t.utilization.(i);
       Obs_metrics.sample o.cost_series.(i) ~time:now (float_of_int cost);
       Obs_metrics.sample o.cost_hops_series.(i) ~time:now
         (float_of_int cost /. float_of_int (max 1 idle));
-      Obs_oscillation.observe ~on_flag o.osc ~link:i ~time:now ~cost
+      Obs_oscillation.observe ~on_flag:o.on_flag o.osc ~link:i ~time:now
+        ~cost
     done);
   let link_flips = t.link_flips_total - flips_before in
   Tracer.counter tr t.tr_updates ~value:updates;
@@ -537,17 +483,7 @@ let tick t =
   | None -> ()
   | Some o ->
     Obs_metrics.inc ~by:updates o.updates_counter;
-    let s = Spf_engine.stats t.engine in
-    Obs_metrics.set o.spf_refreshes (float_of_int s.Spf_engine.refreshes);
-    Obs_metrics.set o.spf_skipped (float_of_int s.Spf_engine.skipped);
-    Obs_metrics.set o.spf_full_sweeps (float_of_int s.Spf_engine.full_sweeps);
-    Obs_metrics.set o.spf_recomputed
-      (float_of_int s.Spf_engine.sources_recomputed);
-    Obs_metrics.set o.spf_repaired
-      (float_of_int s.Spf_engine.sources_repaired);
-    Obs_metrics.set o.spf_reused (float_of_int s.Spf_engine.sources_reused);
-    Obs_metrics.set o.spf_resettled
-      (float_of_int s.Spf_engine.nodes_resettled);
+    Spf_gauges.set o.spf_gauges (Spf_engine.stats t.engine);
     let routes_changed = !routes_changed in
     let congested = !congested in
     Obs_sink.emit o.obs_sink (fun () ->
@@ -625,11 +561,11 @@ let flows t = t.flows
 let switch_metric t kind =
   Log.info (fun m ->
       m "t=%.0fs: switching metric to %s" (time_s t) (Metric.kind_name kind));
-  t.metric <- Metric.create kind t.graph;
-  t.cost_f <- Metric.cost_fn t.metric;
-  (* A software reload floods fresh costs for every link at once; the
-     engines pick the new costs up by diffing on the next refresh. *)
-  t.flooders <- make_flooders t.graph
+  (* A software reload floods fresh costs for every link at once, from
+     fresh flooders; the engines pick the new costs up by diffing on the
+     next refresh. *)
+  t.plane <- Control_plane.create (Metric.create kind t.graph);
+  t.cost_f <- Metric.cost_fn (metric t)
 
 let set_link_up t lid up =
   let i = Link.id_to_int lid in
@@ -638,7 +574,7 @@ let set_link_up t lid up =
         m "t=%.0fs: link %a %s" (time_s t) Link.pp (Graph.link t.graph lid)
           (if up then "up (easing in)" else "down"));
     t.link_up.(i) <- up;
-    if up then Metric.link_up t.metric lid
+    if up then Metric.link_up (metric t) lid
   end
 
 let set_adaptive_sources t enabled =
@@ -647,7 +583,7 @@ let set_adaptive_sources t enabled =
 
 let link_utilization t lid = t.utilization.(Link.id_to_int lid)
 
-let link_cost t lid = Metric.cost t.metric lid
+let link_cost t lid = Metric.cost (metric t) lid
 
 let indicators t ?(skip = 0) () =
   let h = t.hist in

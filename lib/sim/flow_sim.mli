@@ -14,9 +14,11 @@ open! Import
     + each link's expected delay comes from the M/M/1 model at its
       utilization — the same transformation the real PSN's measurement
       would average;
-    + the metric turns the period's utilization into (possibly) a flooded
-      update; the flooding protocol runs in full for exact overhead
-      accounting;
+    + the metric turns each link's delay into (possibly) a flooded cost,
+      and every PSN with one floods an update — both through
+      {!Routing_flooding.Control_plane}, the pipeline the packet
+      simulator shares; the flooding protocol runs in full for exact
+      overhead accounting;
     + next period, everyone routes on the new costs.  "All the nodes in a
       network adjust their routes … simultaneously" (§3.2). *)
 

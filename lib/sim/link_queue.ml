@@ -24,7 +24,6 @@ type t = {
   mutable transmitted : int;
   mutable transmitted_bits : float;
   mutable dropped : int;
-  mutable corrupted : int;
 }
 
 let default_buffer_packets = Queueing.buffer_capacity
@@ -49,8 +48,7 @@ let create ?(buffer_packets = default_buffer_packets) ?(error_rate = 0.) ?rng
     on_drop;
     transmitted = 0;
     transmitted_bits = 0.;
-    dropped = 0;
-    corrupted = 0 }
+    dropped = 0 }
 
 let link t = t.link
 
@@ -88,10 +86,7 @@ let rec start_transmission t =
             | Some rng when t.error_rate > 0. -> Rng.float rng 1. < t.error_rate
             | _ -> false
           in
-          if corrupted then begin
-            t.corrupted <- t.corrupted + 1;
-            t.on_drop Corrupted packet
-          end
+          if corrupted then t.on_drop Corrupted packet
           else begin
             packet.Packet.hops <- packet.Packet.hops + 1;
             Engine.schedule t.engine ~after:t.link.Link.propagation_s (fun () ->
@@ -139,12 +134,8 @@ let set_up t up =
   end;
   t.up <- up
 
-let is_up t = t.up
-
 let transmitted_packets t = t.transmitted
 
 let transmitted_bits t = t.transmitted_bits
 
 let dropped_packets t = t.dropped
-
-let corrupted_packets t = t.corrupted

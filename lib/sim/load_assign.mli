@@ -52,20 +52,6 @@ val assign :
     The flow-to-source grouping is cached on the store's identity and
     {!Flow_store.version}; throttle writes don't invalidate it. *)
 
-val iter_metrics :
-  t ->
-  flows:Flow_store.t ->
-  tree_for:(Node.t -> Spf_tree.t) ->
-  link_delay:float array ->
-  link_pass:float array ->
-  f:(int -> reached:bool -> delay_s:float -> share:float -> hops:int -> unit) ->
-  unit
-(** Call [f] once per flow index (sources in node order, a source's flows
-    in store order) with its path totals over the per-link tables:
-    [delay_s] the sum of [link_delay], [share] the product of [link_pass],
-    [hops] the path length.  Unreached flows get
-    [~reached:false ~delay_s:0. ~share:0. ~hops:0]. *)
-
 val metrics_into :
   t ->
   flows:Flow_store.t ->
@@ -76,11 +62,12 @@ val metrics_into :
   share:float array ->
   hops:int array ->
   unit
-(** {!iter_metrics} into caller-owned per-flow arrays (length ≥ flows)
-    instead of a callback — allocation-free, because the callback form
-    boxes its float arguments on every call.  [hops.(fi) = -1] marks an
-    unreached flow (with [delay_s]/[share] zeroed); flows of sources with
-    no flows are untouched. *)
+(** Write each flow's path totals over the per-link tables into
+    caller-owned per-flow arrays (length ≥ flows): [delay_s] the sum of
+    [link_delay], [share] the product of [link_pass], [hops] the path
+    length.  [hops.(fi) = -1] marks an unreached flow (with
+    [delay_s]/[share] zeroed); flows of sources with no flows are
+    untouched.  Allocation-free. *)
 
 val assign_baseline :
   t ->

@@ -60,8 +60,6 @@ val delivered_packets : t -> int
 
 val dropped_packets : t -> int
 
-val delay_stats : t -> Welford.t
-
 val median_delay_ms : t -> float
 (** Streaming (P²) estimate of the one-way delay median; [nan] when
     empty. *)
@@ -69,9 +67,6 @@ val median_delay_ms : t -> float
 val p95_delay_ms : t -> float
 (** Streaming (P²) estimate of the 95th-percentile one-way delay — the
     congested tail Table 1's mean hides. *)
-
-val p99_delay_ms : t -> float
-(** Streaming (P²) estimate of the 99th-percentile one-way delay. *)
 
 val indicators : t -> elapsed_s:float -> indicators
 (** The route-change indicators are reported as [0.] here: the packet

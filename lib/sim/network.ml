@@ -3,13 +3,10 @@ open! Import
 type config = {
   metric : Metric.kind;
   buffer_packets : int;
-  packet_size : Workload.size;
   seed : int;
-  ttl_hops : int;
   record_series : bool;
   instant_flooding : bool;
   line_error_rate : float;
-  retransmit_interval_s : float;
   domains : int;
   telemetry : Telemetry.t option;
 }
@@ -18,16 +15,22 @@ let log_src = Logs.Src.create "routing_sim.network" ~doc:"packet-level simulator
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Data packets: exponentially distributed sizes, 600 bits on average. *)
+let packet_size = Workload.Exponential 600.
+
+(* A data packet that has crossed this many links is discarded. *)
+let ttl_hops = 64
+
+(* Control packets are retransmitted until acknowledged, on this timer. *)
+let retransmit_interval_s = 1.0
+
 let default_config metric =
   { metric;
     buffer_packets = Link_queue.default_buffer_packets;
-    packet_size = Workload.Exponential 600.;
     seed = 42;
-    ttl_hops = 64;
     record_series = true;
     instant_flooding = true;
     line_error_rate = 0.;
-    retransmit_interval_s = 1.0;
     domains = Domain_pool.default_size ();
     telemetry = None }
 
@@ -41,19 +44,13 @@ type obs_state = {
   floods : Obs_metrics.counter;
   accepts : Obs_metrics.counter;
   recomputes : Obs_metrics.counter;
-  osc_flags : Obs_metrics.counter;
+  on_flag : link:int -> time:float -> flips:int -> unit;
   queue_depth : Obs_metrics.series array;
   cost_hops : Obs_metrics.series array;
       (* flooded cost normalized by the link's idle cost: the paper's
          "reported cost in hops" axis (Figs 5–6) *)
   osc : Obs_oscillation.t;
-  spf_refreshes : Obs_metrics.gauge;
-  spf_skipped : Obs_metrics.gauge;
-  spf_full_sweeps : Obs_metrics.gauge;
-  spf_recomputed : Obs_metrics.gauge;
-  spf_repaired : Obs_metrics.gauge;
-  spf_reused : Obs_metrics.gauge;
-  spf_resettled : Obs_metrics.gauge;
+  spf_gauges : Spf_gauges.t;
 }
 
 (* Tiny growable buffer for the per-period expiry sweeps: collect doomed
@@ -83,9 +80,6 @@ let reason_index = function
 
 let make_obs_state tele ~links =
   let m = Telemetry.metrics tele in
-  let spf_gauge which =
-    Obs_metrics.gauge m ~labels:[ ("counter", which) ] "spf_engine"
-  in
   { tele;
     obs_sink = Telemetry.sink tele;
     drops =
@@ -102,7 +96,7 @@ let make_obs_state tele ~links =
     floods = Obs_metrics.counter m "updates_flooded";
     accepts = Obs_metrics.counter m "updates_accepted";
     recomputes = Obs_metrics.counter m "tables_recomputed";
-    osc_flags = Obs_metrics.counter m "oscillation_flags";
+    on_flag = Telemetry.oscillation_flag tele;
     queue_depth =
       Array.init links (fun i ->
           Obs_metrics.series m
@@ -114,13 +108,7 @@ let make_obs_state tele ~links =
             ~labels:[ ("link", Printf.sprintf "l%d" i) ]
             "link_cost_hops");
     osc = Telemetry.init_oscillation tele ~links;
-    spf_refreshes = spf_gauge "refreshes";
-    spf_skipped = spf_gauge "skipped";
-    spf_full_sweeps = spf_gauge "full_sweeps";
-    spf_recomputed = spf_gauge "sources_recomputed";
-    spf_repaired = spf_gauge "sources_repaired";
-    spf_reused = spf_gauge "sources_reused";
-    spf_resettled = spf_gauge "nodes_resettled" }
+    spf_gauges = Spf_gauges.create m }
 
 let count_event o = function
   | Trace.Packet_delivered _ -> Obs_metrics.inc o.delivered
@@ -146,10 +134,10 @@ type t = {
   graph : Graph.t;
   config : config;
   engine : Engine.t;
-  metric : Metric.t;
-  psns : Psn.t array;
+  plane : Control_plane.t; (* the metric, flooders, update grouping *)
   mutable queues : Link_queue.t array;
-  flooders : Flooder.t array;
+  measurements : Measurement.t array; (* per link: this period's delays *)
+  link_delay : float array; (* per link: the period's average delay *)
   mutable workload : Workload.t option;
   measure : Measure.t;
   min_hops : int array array; (* src * dst, hop count on the up topology *)
@@ -170,13 +158,9 @@ type t = {
      stays pending until the far end acknowledges it; a timer retransmits
      it meanwhile.  (link id, token) -> still unacknowledged. *)
   pending_acks : (int * int, unit) Hashtbl.t;
-  (* Reused per-period scratch: expiry-sweep buffers and the per-origin
-     changed-cost slots (historically a fresh Hashtbl every period). *)
+  (* Reused per-period expiry-sweep buffers. *)
   doomed_tokens : int vec;
   doomed_acks : (int * int) vec;
-  changed_costs : (Link.id * int) list array; (* per origin node *)
-  changed_origins : int array; (* origins touched, first-touch order *)
-  mutable changed_count : int;
   link_rng : Rng.t;
   flood_latency : Welford.t;
   (* Shared SPF engines (instant flooding): per-source route trees on the
@@ -206,6 +190,8 @@ let trace t make_event =
     let event = make_event () in
     count_event o event;
     Obs_sink.emit o.obs_sink (fun () -> Trace.to_json ~time event)
+
+let metric t = Control_plane.metric t.plane
 
 let link_enabled t lid = t.link_up.(Link.id_to_int lid)
 
@@ -259,7 +245,7 @@ let apply_costs t i costs =
 let install_tables t =
   Tracer.span_begin t.tracer t.tr_refresh;
   Spf_engine.refresh t.spf ~enabled:(link_enabled t)
-    ~cost:(Metric.cost_fn t.metric);
+    ~cost:(Metric.cost_fn (metric t));
   Tracer.span_end t.tracer t.tr_refresh;
   Array.iteri
     (fun i table ->
@@ -283,7 +269,7 @@ let rec send_control t lid token =
     let key = (Link.id_to_int lid, token) in
     Hashtbl.replace t.pending_acks key ();
     Link_queue.enqueue_priority t.queues.(Link.id_to_int lid) packet;
-    Engine.schedule t.engine ~after:t.config.retransmit_interval_s (fun () ->
+    Engine.schedule t.engine ~after:retransmit_interval_s (fun () ->
         if Hashtbl.mem t.pending_acks key && t.link_up.(Link.id_to_int lid)
         then send_control t lid token)
 
@@ -307,7 +293,8 @@ and deliver_update t node ~via token =
   | None -> ()
   | Some (u, originated_s) -> (
     let i = Node.to_int node in
-    match Flooder.receive (Psn.flooder t.psns.(i)) ~arrived_on:(Some via) u with
+    let flooder = Control_plane.flooder t.plane node in
+    match Flooder.receive flooder ~arrived_on:(Some via) u with
     | Flooder.Duplicate -> ()
     | Flooder.Fresh forward ->
       Welford.add t.flood_latency (Engine.now t.engine -. originated_s);
@@ -338,29 +325,29 @@ and handle_arrival t (packet : Packet.t) node =
     | Some forward ->
       Hashtbl.remove t.pending_acks (Link.id_to_int forward.Link.id, token)
     | None -> ())
+  | Packet.Data when Node.equal packet.Packet.dst node ->
+    let src = Node.to_int packet.Packet.src
+    and dst = Node.to_int packet.Packet.dst in
+    let delay_s = Packet.age packet ~now:(Engine.now t.engine) in
+    Measure.record_delivery t.measure ~delay_s ~bits:packet.Packet.bits
+      ~hops:packet.Packet.hops ~min_hops:t.min_hops.(src).(dst);
+    trace t (fun () ->
+        Trace.Packet_delivered
+          { src = packet.Packet.src;
+            dst = packet.Packet.dst;
+            delay_s;
+            hops = packet.Packet.hops })
   | Packet.Data -> (
-    let psn = t.psns.(Node.to_int node) in
-    match Psn.route psn packet with
-    | `Deliver ->
-      let src = Node.to_int packet.Packet.src
-      and dst = Node.to_int packet.Packet.dst in
-      let delay_s = Packet.age packet ~now:(Engine.now t.engine) in
-      Measure.record_delivery t.measure ~delay_s ~bits:packet.Packet.bits
-        ~hops:packet.Packet.hops ~min_hops:t.min_hops.(src).(dst);
-      trace t (fun () ->
-          Trace.Packet_delivered
-            { src = packet.Packet.src;
-              dst = packet.Packet.dst;
-              delay_s;
-              hops = packet.Packet.hops })
-    | `No_route ->
+    match Routing_table.next_hop t.tables.(Node.to_int node) packet.Packet.dst
+    with
+    | None ->
       Measure.record_drop t.measure;
       trace t (fun () ->
           Trace.Packet_dropped
             { at = node; src = packet.Packet.src; dst = packet.Packet.dst;
               reason = Trace.No_route })
-    | `Forward link ->
-      if packet.Packet.hops >= t.config.ttl_hops then begin
+    | Some link ->
+      if packet.Packet.hops >= ttl_hops then begin
         Measure.record_drop t.measure;
         trace t (fun () ->
             Trace.Packet_dropped
@@ -370,12 +357,12 @@ and handle_arrival t (packet : Packet.t) node =
       else Link_queue.enqueue t.queues.(Link.id_to_int link.Link.id) packet)
 
 and make_queue t (link : Link.t) =
+  let measurement = t.measurements.(Link.id_to_int link.Link.id) in
   Link_queue.create ~buffer_packets:t.config.buffer_packets
     ~error_rate:t.config.line_error_rate ~rng:t.link_rng t.engine link
     ~on_arrival:(fun packet -> handle_arrival t packet link.Link.dst)
     ~on_measured:(fun ~delay_s ->
-      let psn = t.psns.(Node.to_int link.Link.src) in
-      Measurement.record_packet (Psn.measurement psn link.Link.id) ~delay_s)
+      Measurement.record_packet measurement ~delay_s)
     ~on_drop:(fun reason (packet : Packet.t) ->
       match packet.Packet.kind with
       | Packet.Data ->
@@ -421,62 +408,44 @@ let routing_period t =
   for k = 0 to t.doomed_acks.len - 1 do
     Hashtbl.remove t.pending_acks t.doomed_acks.buf.(k)
   done;
-  Array.iter
-    (fun psn ->
-      List.iter
-        (fun ((link : Link.t), m) ->
-          if t.link_up.(Link.id_to_int link.Link.id) then begin
-            let avg = Measurement.finish_period m in
-            match
-              Metric.period_update t.metric link.Link.id ~measured_delay_s:avg
-            with
-            | Some cost ->
-              let origin = Node.to_int link.Link.src in
-              if t.changed_costs.(origin) = [] then begin
-                t.changed_origins.(t.changed_count) <- origin;
-                t.changed_count <- t.changed_count + 1
-              end;
-              t.changed_costs.(origin) <-
-                (link.Link.id, cost) :: t.changed_costs.(origin)
-            | None -> ()
-          end)
-        (Psn.out_measurements psn))
-    t.psns;
-  (* Flood one update per origin that had significant changes. *)
-  if t.changed_count > 0 then
+  (* Every up link's average delay for the period feeds the metric; one
+     update floods per PSN that had significant changes. *)
+  Array.iteri
+    (fun i m ->
+      if t.link_up.(i) then t.link_delay.(i) <- Measurement.finish_period m)
+    t.measurements;
+  let updates =
+    Control_plane.period t.plane ~up:t.link_up ~link_delay_s:t.link_delay
+  in
+  if updates <> [] then
     Log.debug (fun m ->
-        m "t=%.0fs: %d PSNs flooding updates" now t.changed_count);
+        m "t=%.0fs: %d PSNs flooding updates" now (List.length updates));
   Tracer.span_begin t.tracer t.tr_flood;
-  for k = 0 to t.changed_count - 1 do
-    let origin = t.changed_origins.(k) in
-    let costs = t.changed_costs.(origin) in
-    t.changed_costs.(origin) <- [];
-    trace t (fun () ->
-        Trace.Update_flooded
-          { origin = Node.of_int origin; links = List.length costs });
-    if t.config.instant_flooding then begin
-      let update = Flooder.originate t.flooders.(origin) ~costs in
-      let outcome = Broadcast.flood t.graph t.flooders update in
-      Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
-      t.tables_dirty <- true
-    end
-    else begin
-      (* Hop-by-hop propagation on the priority lanes. *)
-      let update = Flooder.originate t.flooders.(origin) ~costs in
-      let token = t.next_update_token in
-      t.next_update_token <- token + 1;
-      Hashtbl.replace t.in_flight token (update, Engine.now t.engine);
-      Measure.record_updates t.measure ~count:1 ~bits:0.;
-      apply_costs t origin costs;
-      List.iter
-        (fun (l : Link.t) ->
-          if t.link_up.(Link.id_to_int l.Link.id) then
-            send_control t l.Link.id token)
-        (Graph.out_links t.graph (Node.of_int origin))
-    end
-  done;
+  List.iter
+    (fun (u : Update.t) ->
+      trace t (fun () ->
+          Trace.Update_flooded
+            { origin = u.Update.origin; links = List.length u.Update.costs });
+      if t.config.instant_flooding then begin
+        let outcome = Control_plane.flood t.plane u in
+        Measure.record_updates t.measure ~count:1 ~bits:outcome.Broadcast.bits;
+        t.tables_dirty <- true
+      end
+      else begin
+        (* Hop-by-hop propagation on the priority lanes. *)
+        let token = t.next_update_token in
+        t.next_update_token <- token + 1;
+        Hashtbl.replace t.in_flight token (u, Engine.now t.engine);
+        Measure.record_updates t.measure ~count:1 ~bits:0.;
+        apply_costs t (Node.to_int u.Update.origin) u.Update.costs;
+        List.iter
+          (fun (l : Link.t) ->
+            if t.link_up.(Link.id_to_int l.Link.id) then
+              send_control t l.Link.id token)
+          (Graph.out_links t.graph u.Update.origin)
+      end)
+    updates;
   Tracer.span_end t.tracer t.tr_flood;
-  t.changed_count <- 0;
   if t.tables_dirty && t.config.instant_flooding then install_tables t;
   (* Per-period series. *)
   if t.config.record_series then
@@ -488,44 +457,26 @@ let routing_period t =
           ((bits -. t.prev_bits.(i)) /. (cap *. period));
         t.prev_bits.(i) <- bits;
         Time_series.record t.cost_series.(i) ~time:now
-          (float_of_int (Metric.cost t.metric (Link.id_of_int i))))
+          (float_of_int (Metric.cost (metric t) (Link.id_of_int i))))
       t.queues;
   (* Telemetry per-period: queue depths, oscillation detection over the
      flooded costs, and the SPF engine counters kept current. *)
   (match t.obs with
   | None -> ()
   | Some o ->
-    let on_flag ~link ~time ~flips =
-      Obs_metrics.inc o.osc_flags;
-      Obs_sink.emit o.obs_sink (fun () ->
-          Obs_json.Obj
-            [ ("t", Obs_json.Float time);
-              ("ev", Obs_json.String "oscillation");
-              ("link", Obs_json.Int link);
-              ("flips", Obs_json.Int flips) ])
-    in
     Array.iteri
       (fun i q ->
         let lid = Link.id_of_int i in
-        let cost = Metric.cost t.metric lid in
+        let cost = Metric.cost (metric t) lid in
         let idle = Metric.idle_cost t.config.metric (Graph.link t.graph lid) in
         Obs_metrics.sample o.queue_depth.(i) ~time:now
           (float_of_int (Link_queue.queue_length q));
         Obs_metrics.sample o.cost_hops.(i) ~time:now
           (float_of_int cost /. float_of_int (max 1 idle));
-        Obs_oscillation.observe ~on_flag o.osc ~link:i ~time:now ~cost)
+        Obs_oscillation.observe ~on_flag:o.on_flag o.osc ~link:i ~time:now
+          ~cost)
       t.queues;
-    let s = Spf_engine.stats t.spf in
-    Obs_metrics.set o.spf_refreshes (float_of_int s.Spf_engine.refreshes);
-    Obs_metrics.set o.spf_skipped (float_of_int s.Spf_engine.skipped);
-    Obs_metrics.set o.spf_full_sweeps (float_of_int s.Spf_engine.full_sweeps);
-    Obs_metrics.set o.spf_recomputed
-      (float_of_int s.Spf_engine.sources_recomputed);
-    Obs_metrics.set o.spf_repaired
-      (float_of_int s.Spf_engine.sources_repaired);
-    Obs_metrics.set o.spf_reused (float_of_int s.Spf_engine.sources_reused);
-    Obs_metrics.set o.spf_resettled
-      (float_of_int s.Spf_engine.nodes_resettled));
+    Spf_gauges.set o.spf_gauges (Spf_engine.stats t.spf));
   Tracer.span_end t.tracer t.tr_period
 
 let rec schedule_periods t =
@@ -540,7 +491,6 @@ let create ?config graph tm =
   let engine = Engine.create () in
   let rng = Rng.create config.seed in
   let metric = Metric.create config.metric graph in
-  let psns = Array.init n (fun i -> Psn.create graph (Node.of_int i)) in
   let pool =
     if config.domains > 1 then Some (Domain_pool.create config.domains)
     else None
@@ -559,7 +509,6 @@ let create ?config graph tm =
   let tables =
     Array.init n (fun i -> Routing_table.create graph ~owner:(Node.of_int i))
   in
-  Array.iteri (fun i table -> Psn.install_table psns.(i) table) tables;
   (* Hop-by-hop flooding: every PSN starts from the same believed costs
      with all links up; this is the only full SPF its tree ever sees. *)
   let views =
@@ -580,10 +529,12 @@ let create ?config graph tm =
     { graph;
       config;
       engine;
-      metric;
-      psns;
+      plane = Control_plane.create metric;
       queues = [||];
-      flooders = Array.map Psn.flooder psns;
+      measurements =
+        Array.init nl (fun i ->
+            Measurement.create (Graph.link graph (Link.id_of_int i)));
+      link_delay = Array.make nl 0.;
       workload = None;
       measure = Measure.create ~nodes:n;
       min_hops = Array.init n (fun _ -> Array.make n max_int);
@@ -597,9 +548,6 @@ let create ?config graph tm =
       pending_acks = Hashtbl.create 64;
       doomed_tokens = vec_make 0;
       doomed_acks = vec_make (0, 0);
-      changed_costs = Array.make n [];
-      changed_origins = Array.make n 0;
-      changed_count = 0;
       link_rng = Rng.create (config.seed lxor 0x5F5F5F);
       flood_latency = Welford.create ();
       spf = Spf_engine.create ?pool ~tracer graph;
@@ -636,15 +584,13 @@ let create ?config graph tm =
       t.util_series);
   t.workload <-
     Some
-      (Workload.create ~size:config.packet_size rng engine tm
+      (Workload.create ~size:packet_size rng engine tm
          ~inject:(fun packet -> handle_arrival t packet packet.Packet.src));
   recompute_min_hops t;
   if config.instant_flooding then install_tables t;
   t
 
 let graph t = t.graph
-
-let metric t = t.metric
 
 let engine t = t.engine
 
@@ -681,7 +627,7 @@ let set_link_up t lid up =
       done
     end;
     Link_queue.set_up t.queues.(i) up;
-    if up then Metric.link_up t.metric lid;
+    if up then Metric.link_up (metric t) lid;
     recompute_min_hops t;
     if t.config.instant_flooding then install_tables t
     else
@@ -699,7 +645,7 @@ let set_link_up t lid up =
 let table t node = t.tables.(Node.to_int node)
 
 let believed_cost t node lid =
-  if t.config.instant_flooding then Metric.cost t.metric lid
+  if t.config.instant_flooding then Metric.cost (metric t) lid
   else begin
     let w = t.views.(Node.to_int node).weights.(Link.id_to_int lid) in
     Dijkstra.composite_units (if w >= 0 then w else lnot w)

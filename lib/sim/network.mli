@@ -6,7 +6,9 @@ open! Import
     flooding protocol over a discrete-event engine and runs the full
     control loop: per-packet delay measurement → 10-second averaging →
     metric transformation → significance filtering → flooding → SPF
-    recomputation → forwarding.
+    recomputation → forwarding.  Each link's 10-second average feeds
+    {!Routing_flooding.Control_plane}, the update pipeline the flow
+    simulators share, which returns one update per PSN to flood.
 
     The one deliberate simplification (shared with the paper's own model)
     is that a flooded update takes effect network-wide within the routing
@@ -18,9 +20,7 @@ open! Import
 type config = {
   metric : Metric.kind;
   buffer_packets : int;  (** store-and-forward buffers per line *)
-  packet_size : Workload.size;
   seed : int;
-  ttl_hops : int;  (** discard packets exceeding this hop count *)
   record_series : bool;  (** keep per-period cost/utilization series *)
   instant_flooding : bool;
       (** [true] (default): a flooded update takes effect network-wide
@@ -34,8 +34,7 @@ type config = {
   line_error_rate : float;
       (** per-packet probability that a line corrupts a transmission
           (default 0).  Data packets are simply lost; control packets are
-          retransmitted until acknowledged. *)
-  retransmit_interval_s : float;  (** control retransmission timer (1 s) *)
+          retransmitted every second until acknowledged. *)
   domains : int;
       (** domain-pool size for the shared SPF engine (instant flooding
           only).  Defaults to {!Domain_pool.default_size} — the
@@ -54,8 +53,9 @@ type config = {
 }
 
 val default_config : Metric.kind -> config
-(** 40 buffers, exponential 600-bit packets, seed 42, ttl 64, series on,
-    instant flooding. *)
+(** 40 buffers, seed 42, series on, instant flooding.  Data packets are
+    always exponentially distributed with a 600-bit mean and dropped after
+    64 hops. *)
 
 type t
 

@@ -53,6 +53,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element.  @raise Invalid_argument on empty array. *)

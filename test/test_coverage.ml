@@ -60,8 +60,14 @@ let test_metric_update_counter () =
   let l = Link.id_of_int 0 in
   (* Drive a big cost swing so an update floods. *)
   let hot = Queueing.delay_s (Graph.link g l) ~utilization:0.95 in
-  ignore (Metric.period_update m l ~measured_delay_s:hot);
-  ignore (Metric.period_update m l ~measured_delay_s:hot);
+  let n = Graph.link_count g in
+  let period () =
+    Metric.period_update_all m ~up:(Array.make n true)
+      ~link_delay_s:(Array.make n hot) ~changed_ids:(Array.make n 0)
+      ~changed_costs:(Array.make n 0)
+  in
+  ignore (period ());
+  ignore (period ());
   Alcotest.(check bool) "updates counted" true (Metric.updates_flooded m > 0);
   Metric.reset_update_counter m;
   Alcotest.(check int) "counter reset" 0 (Metric.updates_flooded m)

@@ -5,6 +5,8 @@ module Sequence = Routing_flooding.Sequence
 module Update = Routing_flooding.Update
 module Flooder = Routing_flooding.Flooder
 module Broadcast = Routing_flooding.Broadcast
+module Control_plane = Routing_flooding.Control_plane
+module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
 
 (* --- Sequence numbers --- *)
@@ -158,6 +160,70 @@ let test_flood_all_accumulates () =
   Alcotest.(check bool) "bits sum across floods" true
     (o.Broadcast.bits >= 2. *. Update.size_bits u1)
 
+(* --- Control plane --- *)
+
+(* A ring with chords under D-SPF: a 1-second delay moves every link far
+   past the significance threshold, so each up link floods. *)
+let control_setup () =
+  let g = Generators.ring_chord (Rng.create 7) ~nodes:12 ~chords:8 in
+  let nl = Graph.link_count g in
+  (g, Control_plane.create (Metric.create Metric.D_spf g), Array.make nl 1.)
+
+let test_control_plane_groups_by_origin () =
+  let g, cp, delay = control_setup () in
+  let nl = Graph.link_count g in
+  (* Links 2i and 2i+1 are the ring trunk between nodes i and i+1, so in id
+     order the ring's sources ascend.  Keep one ring direction in four
+     (link 23 is node 0's) and every chord: origins are then first touched
+     out of order, and some flood several links. *)
+  let up = Array.init nl (fun i -> i mod 4 = 3 || i >= 24) in
+  let updates = Control_plane.period cp ~up ~link_delay_s:delay in
+  let metric = Control_plane.metric cp in
+  let expected =
+    List.filter_map
+      (fun origin ->
+        let costs =
+          Graph.out_links g (Node.of_int origin)
+          |> List.filter (fun (l : Link.t) -> up.(Link.id_to_int l.Link.id))
+          |> List.map (fun (l : Link.t) -> Link.id_to_int l.Link.id)
+          |> List.sort (fun a b -> compare b a)
+          |> List.map (fun i -> (i, Metric.cost metric (Link.id_of_int i)))
+        in
+        if costs = [] then None else Some (origin, costs))
+      (List.init (Graph.node_count g) Fun.id)
+  in
+  let got =
+    List.map
+      (fun (u : Update.t) ->
+        ( Node.to_int u.Update.origin,
+          List.map (fun (l, c) -> (Link.id_to_int l, c)) u.Update.costs ))
+      updates
+  in
+  Alcotest.(check (list (pair int (list (pair int int)))))
+    "one update per origin, ascending; links descending" expected got;
+  (* Instant-flooding accounting is exactly Broadcast.flood's. *)
+  let reference = make_flooders g in
+  List.iter
+    (fun u ->
+      let o = Control_plane.flood cp u in
+      let r = Broadcast.flood g reference u in
+      Alcotest.(check int) "transmissions" r.Broadcast.transmissions
+        o.Broadcast.transmissions;
+      Alcotest.(check (float 0.)) "bits" r.Broadcast.bits o.Broadcast.bits)
+    updates
+
+let test_control_plane_quiet_period () =
+  let g, cp, delay = control_setup () in
+  let up = Array.make (Graph.link_count g) true in
+  Alcotest.(check bool) "first period floods" true
+    (Control_plane.period cp ~up ~link_delay_s:delay <> []);
+  (* The same delays again: no change, and the 50-second timer is far. *)
+  let before = Gc.minor_words () in
+  let updates = Control_plane.period cp ~up ~link_delay_s:delay in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "quiet period floods nothing" 0 (List.length updates);
+  Alcotest.(check (float 0.)) "quiet period allocates nothing" 0. words
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_flooding"
@@ -175,4 +241,9 @@ let () =
             test_flood_never_reverses_arrival_link;
           Alcotest.test_case "flood_all" `Quick test_flood_all_accumulates;
           Alcotest.test_case "crash of 1980" `Quick test_cyclic_sequences_never_die ]
-        @ qsuite [ prop_flood_covers_random_graphs ] ) ]
+        @ qsuite [ prop_flood_covers_random_graphs ] );
+      ( "control",
+        [ Alcotest.test_case "one update per origin" `Quick
+            test_control_plane_groups_by_origin;
+          Alcotest.test_case "quiet period" `Quick
+            test_control_plane_quiet_period ] ) ]

@@ -478,6 +478,18 @@ let test_significance_decay () =
 
 (* --- Metric facade --- *)
 
+(* One link's routing period through the batch entry point, every other
+   link masked out: the flooded cost, if the change was flooded. *)
+let update_one m lid ~measured_delay_s =
+  let n = Graph.link_count (Metric.graph m) in
+  let up = Array.init n (fun i -> i = Link.id_to_int lid) in
+  let changed_costs = Array.make n 0 in
+  let flooded =
+    Metric.period_update_all m ~up ~link_delay_s:(Array.make n measured_delay_s)
+      ~changed_ids:(Array.make n 0) ~changed_costs
+  in
+  if flooded > 0 then Some changed_costs.(0) else None
+
 let test_metric_kinds () =
   List.iter
     (fun k ->
@@ -496,7 +508,7 @@ let test_static_capacity_kind () =
   Alcotest.(check bool) "satellite floor above terrestrial" true
     (Metric.cost m (s56 g).Link.id > 30);
   Alcotest.(check bool) "never updates" true
-    (Metric.period_update m (t56 g).Link.id ~measured_delay_s:5. = None);
+    (update_one m (t56 g).Link.id ~measured_delay_s:5. = None);
   Alcotest.(check int) "equilibrium cost is the floor at any load" 30
     (Metric.equilibrium_cost Metric.Static_capacity (t56 g) ~utilization:0.99)
 
@@ -506,7 +518,7 @@ let test_metric_minhop_is_static () =
   Graph.iter_links g (fun l ->
       Alcotest.(check int) "unit cost" 1 (Metric.cost m l.Link.id);
       Alcotest.(check bool) "never updates" true
-        (Metric.period_update m l.Link.id ~measured_delay_s:5. = None));
+        (update_one m l.Link.id ~measured_delay_s:5. = None));
   Alcotest.(check int) "no updates flooded" 0 (Metric.updates_flooded m)
 
 let test_metric_flooded_vs_local () =
@@ -514,7 +526,7 @@ let test_metric_flooded_vs_local () =
   let m = Metric.create Metric.Hn_spf g in
   let l = (t56 g).Link.id in
   (* A sub-threshold change updates the local cost but not the flooded one. *)
-  ignore (Metric.period_update m l ~measured_delay_s:(delay_at (t56 g) 0.55));
+  ignore (update_one m l ~measured_delay_s:(delay_at (t56 g) 0.55));
   Alcotest.(check bool) "local moved" true (Metric.local_cost m l > 30);
   Alcotest.(check int) "flooded unchanged" 30 (Metric.cost m l)
 
@@ -524,6 +536,115 @@ let test_metric_link_up_easing () =
   let l = (t56 g).Link.id in
   Metric.link_up m l;
   Alcotest.(check int) "revived link floods its ceiling" 90 (Metric.cost m l)
+
+(* The batch entry point against a per-link reference built from the
+   modules it stages: [Dspf]/[Hnm.period_update] then
+   [Significance.consider], link by link in ascending id order.  Random
+   delays (mostly at a random utilization, so HN-SPF's adaptive region is
+   exercised), random up masks, and a fresh easing-in state on every
+   restoration, under D-SPF, HN-SPF and an ablated HN-SPF. *)
+type reference =
+  | Ref_dspf of Dspf.t * Significance.t
+  | Ref_hnm of Hnm.t * Significance.t
+
+let prop_batch_matches_per_link =
+  QCheck2.Test.make ~name:"period_update_all = per-link pipeline" ~count:300
+    ~print:(fun ((variant, _), periods) ->
+      Printf.sprintf "variant %d, %d periods" variant (List.length periods))
+    QCheck2.Gen.(
+      pair
+        (pair (int_range 0 2) (triple bool bool bool))
+        (list_size (int_range 1 40)
+           (array_size (return 10)
+              (triple
+                 (frequencyl [ (6, true); (1, false) ])
+                 (frequencyl [ (7, true); (1, false) ])
+                 (float_range 0. 1.)))))
+    (fun ((variant, (averaging, movement_limits, march_up)), periods) ->
+      let g = bench () in
+      let nl = Graph.link_count g in
+      let config (l : Link.t) =
+        let c = Hnm.default_config l.Link.line_type in
+        if variant = 2 then { c with Hnm.averaging; movement_limits; march_up }
+        else c
+      in
+      let m =
+        match variant with
+        | 0 -> Metric.create Metric.D_spf g
+        | 1 -> Metric.create Metric.Hn_spf g
+        | _ -> Metric.create_custom_hnspf config g
+      in
+      let fresh ~easing l =
+        if variant = 0 then
+          let d = Dspf.create l in
+          Ref_dspf
+            ( d,
+              Significance.create Significance.dspf_policy
+                ~initial_cost:(Dspf.current_cost d) )
+        else
+          let c = config l in
+          let h =
+            if easing then Hnm.create_custom_easing_in c l
+            else Hnm.create_custom c l
+          in
+          Ref_hnm
+            ( h,
+              Significance.create
+                (Significance.Fixed c.Hnm.params.Hnm_params.min_change)
+                ~initial_cost:(Hnm.current_cost h) )
+      in
+      let refs = Array.init nl (fun i -> fresh ~easing:false (link g i)) in
+      let was_up = Array.make nl true in
+      let ids = Array.make nl 0 and costs = Array.make nl 0 in
+      let per_link i ~measured_delay_s =
+        match refs.(i) with
+        | Ref_dspf (d, s) ->
+          let c = Dspf.period_update d ~measured_delay_s in
+          if Significance.consider s ~cost:c then Some (i, c) else None
+        | Ref_hnm (h, s) ->
+          let c = Hnm.period_update h ~measured_delay_s in
+          if Significance.consider s ~cost:c then Some (i, c) else None
+      in
+      let agrees i =
+        let lid = Link.id_of_int i in
+        match refs.(i) with
+        | Ref_dspf (d, s) ->
+          Metric.local_cost m lid = Dspf.current_cost d
+          && Metric.cost m lid = Significance.last_flooded s
+        | Ref_hnm (h, s) ->
+          Metric.local_cost m lid = Hnm.current_cost h
+          && Metric.cost m lid = Significance.last_flooded s
+      in
+      List.for_all
+        (fun period ->
+          let up = Array.map (fun (u, _, _) -> u) period in
+          let delay =
+            Array.mapi
+              (fun i (_, at_load, x) ->
+                if at_load then delay_at (link g i) (0.999 *. x) else 3. *. x)
+              period
+          in
+          Array.iteri
+            (fun i u ->
+              if u && not was_up.(i) then begin
+                Metric.link_up m (Link.id_of_int i);
+                refs.(i) <- fresh ~easing:true (link g i)
+              end;
+              was_up.(i) <- u)
+            up;
+          let n =
+            Metric.period_update_all m ~up ~link_delay_s:delay
+              ~changed_ids:ids ~changed_costs:costs
+          in
+          let expected =
+            List.filter_map
+              (fun i ->
+                if up.(i) then per_link i ~measured_delay_s:delay.(i) else None)
+              (List.init nl Fun.id)
+          in
+          List.init n (fun k -> (ids.(k), costs.(k))) = expected
+          && List.for_all agrees (List.init nl Fun.id))
+        periods)
 
 let test_metric_equilibrium_cost_consistency () =
   let g = bench () in
@@ -596,4 +717,5 @@ let () =
           Alcotest.test_case "flooded vs local" `Quick test_metric_flooded_vs_local;
           Alcotest.test_case "link up easing" `Quick test_metric_link_up_easing;
           Alcotest.test_case "equilibrium consistency" `Quick
-            test_metric_equilibrium_cost_consistency ] ) ]
+            test_metric_equilibrium_cost_consistency ]
+        @ qsuite [ prop_batch_matches_per_link ] ) ]
