@@ -1104,6 +1104,10 @@ let perf () =
   let tree = Routing_spf.Dijkstra.compute_flat g ~weights root.Link.src in
   let table = Routing_spf.Routing_table.of_tree tree in
   let repair_scratch = Routing_spf.Spf_repair.scratch () in
+  (* A second tree recomputed in place, as a full-sweep refresh does for
+     every source whose tree already exists. *)
+  let spf_scratch = Routing_spf.Dijkstra.scratch () in
+  let swept = Routing_spf.Dijkstra.compute_flat g ~weights root.Link.src in
   let flip = ref false in
   let flooders =
     Array.init (Graph.node_count g) (fun i ->
@@ -1138,6 +1142,9 @@ let perf () =
                  (Routing_spf.Routing_table.of_tree
                     (Routing_spf.Dijkstra.compute g
                        ~cost:(Metric.cost_fn metric) root.Link.src))));
+        Test.make ~name:"in-place recompute (one node)"
+          (Staged.stage (fun () ->
+               Routing_spf.Dijkstra.compute_into spf_scratch g ~weights swept));
         Test.make ~name:"hnm period update"
           (Staged.stage (fun () ->
                ignore (Hnm.period_update hnm ~measured_delay_s:0.05)));

@@ -7,7 +7,13 @@ open! Import
     high priority process within the PSN" and transit times are tiny
     compared to routing periods (§3.2) — i.e. effectively instantaneous
     relative to the 10-second period.  Returns exact message accounting so
-    experiments can report routing-overhead bandwidth. *)
+    experiments can report routing-overhead bandwidth.
+
+    The wave walks the graph's CSR adjacency with a FIFO of the nodes that
+    accepted the update, threaded through the flooders ({!Flooder.queue_join}):
+    a node's out-links are delivered contiguously when it leaves the
+    queue, which is exactly the order a FIFO of individual transmissions
+    would deliver them in.  A flood allocates only its [outcome]. *)
 
 type outcome = {
   reached : int;  (** nodes that accepted the update (including origin) *)

@@ -6,14 +6,12 @@ let max_link_cost = 254
    (path cost, hop count) in a single positive integer, keeping plain
    Dijkstra applicable:
 
-     w(l) = cost(l) * cost_scale * hop_scale + 1
+     w(l) = cost(l) * hop_scale + 1
 
-   The +1 per edge makes hop count the tie-break among equal-cost paths.
-   With cost <= 254 and paths < 256 hops the sums stay far below
-   max_int. *)
+   The +1 per edge makes hop count the tie-break among equal-cost paths:
+   with paths < 256 hops the hop count never carries into the cost, so
+   comparing composites compares (cost, hops) lexicographically. *)
 let hop_scale = 256
-
-let cost_scale = 1024
 
 (* Out of line: the message allocates, and [cost_weight] runs on the
    A0xx-gated per-update path. *)
@@ -23,7 +21,7 @@ let[@inline never] bad_cost c =
 
 let cost_weight c =
   if c < 1 || c > max_link_cost then bad_cost c;
-  (c * cost_scale * hop_scale) + 1
+  (c * hop_scale) + 1
 
 (* Memoized per-link composite weights: one cost_fn call + range check per
    link per refresh, instead of per edge per source.  Disabled links carry
@@ -43,27 +41,30 @@ let compute_weights ?enabled g ~cost =
   weights
 
 let composite ~dist ~hops =
-  if dist = max_int then max_int else (dist * cost_scale * hop_scale) + hops
+  if dist = max_int then max_int else (dist * hop_scale) + hops
 
 (* Inverse of [composite]: the hop count lives in the low byte and the
-   unit distance above the scales.  Two int-returning halves rather than a
+   unit distance above it.  Two int-returning halves rather than a
    pair: results cross module boundaries unboxed, so the repair resettle
    loop can re-decode patched distances without allocating. *)
 let composite_units comp =
-  if comp = max_int then max_int else comp / hop_scale / cost_scale
+  if comp = max_int then max_int else comp / hop_scale
 
 let composite_hops comp = if comp = max_int then max_int else comp mod hop_scale
 
 (* Reusable work arrays for the inner loop.  The settled flags, composite
-   distances and the heap never escape a computation, so one scratch can
-   serve every tree a domain computes — per-period refreshes stop paying
-   three array allocations plus heap growth per source.  (The parent,
-   units and hops arrays *do* escape, into the returned [Spf_tree.t], and
-   are still allocated per tree.)  A scratch belongs to one domain; the
-   pool fan-out gives each participant its own. *)
+   distances, parent link ids and the heap never escape a computation, so
+   one scratch can serve every tree a domain computes.  What escapes is
+   the decoded result, written into a caller's [Spf_tree.t]: in place by
+   [compute_into], into fresh arrays by [compute_flat_s].  Parent links
+   are stored as [Some id] values drawn from a per-scratch cache, so a
+   recompute boxes nothing.  A scratch belongs to one domain; the pool
+   fan-out gives each participant its own. *)
 type scratch = {
   mutable dist : int array; (* composite distances *)
   mutable settled : bool array;
+  mutable parent : int array; (* arriving link id, -1 for none *)
+  mutable some_link : Link.id option array; (* some_link.(i) = Some (id i) *)
   heap : Radix_queue.t;
   slot : Radix_queue.slot; (* out-cell for allocation-free pops *)
 }
@@ -71,19 +72,30 @@ type scratch = {
 let scratch () =
   { dist = [||];
     settled = [||];
+    parent = [||];
+    some_link = [||];
     heap = Radix_queue.create ();
     slot = Radix_queue.slot () }
 
-let ready scratch n =
-  if Array.length scratch.dist < n then begin
-    scratch.dist <- Array.make n max_int;
-    scratch.settled <- Array.make n false
+(* Out of line: the resize path allocates, and [compute_into] is
+   A0xx-gated. *)
+let[@inline never] ready s n nl =
+  if Array.length s.dist < n then begin
+    s.dist <- Array.make n max_int;
+    s.settled <- Array.make n false;
+    s.parent <- Array.make n (-1)
   end
   else begin
-    Array.fill scratch.dist 0 n max_int;
-    Array.fill scratch.settled 0 n false
+    Array.fill s.dist 0 n max_int;
+    Array.fill s.settled 0 n false;
+    Array.fill s.parent 0 n (-1)
   end;
-  Radix_queue.clear scratch.heap
+  if Array.length s.some_link < nl then
+    s.some_link <- Array.init nl (fun i -> Some (Link.id_of_int i));
+  Radix_queue.clear s.heap
+
+let[@inline never] wrong_tree () =
+  invalid_arg "Dijkstra.compute_into: tree is not sized for this graph"
 
 (* The SPF inner loop over the flat (CSR) adjacency and a memoized weight
    table.  Tie-breaking is identical to the historical list-based version:
@@ -92,17 +104,21 @@ let ready scratch n =
    so the tree is a pure function of the weight table.  Dijkstra never
    pushes a key below the last popped one (edge weights are positive), the
    exact precondition of the monotone radix queue. *)
-let compute_flat_s s g ~weights root =
+let compute_into s g ~weights tree =
   let n = Graph.node_count g in
+  let units = Spf_tree.unsafe_dist tree in
+  let hops = Spf_tree.unsafe_hops tree in
+  let tparent = Spf_tree.unsafe_parent tree in
+  if Array.length units <> n then wrong_tree ();
   let out_off = Graph.csr_out_off g in
   let out_link_ids = Graph.csr_out_link_ids g in
   let out_dst = Graph.csr_out_dst g in
-  ready s n;
+  ready s n (Graph.link_count g);
   let dist = s.dist in
-  let parent = Array.make n (-1) in
+  let parent = s.parent in
   let settled = s.settled in
   let heap = s.heap in
-  let ri = Node.to_int root in
+  let ri = Node.to_int (Spf_tree.root tree) in
   dist.(ri) <- 0;
   Radix_queue.push heap ~key:0 ~tie:(-1) ri;
   let slot = s.slot in
@@ -131,19 +147,24 @@ let compute_flat_s s g ~weights root =
       done
     end
   done;
-  (* Decode composite weights back into routing units and hop counts. *)
-  let units = Array.make n max_int in
-  let hops = Array.make n max_int in
+  (* Decode composite weights back into routing units and hop counts,
+     overwriting every entry: unreached nodes go back to [max_int]/[None]. *)
   for i = 0 to n - 1 do
-    if dist.(i) <> max_int then begin
-      units.(i) <- composite_units dist.(i);
-      hops.(i) <- composite_hops dist.(i)
-    end
-  done;
-  let parent =
-    Array.map (fun p -> if p < 0 then None else Some (Link.id_of_int p)) parent
+    let d = dist.(i) in
+    units.(i) <- composite_units d;
+    hops.(i) <- composite_hops d;
+    tparent.(i) <- (if parent.(i) < 0 then None else s.some_link.(parent.(i)))
+  done
+[@@hot_path]
+
+let compute_flat_s s g ~weights root =
+  let n = Graph.node_count g in
+  let tree =
+    Spf_tree.make ~graph:g ~root ~parent:(Array.make n None)
+      ~dist:(Array.make n max_int) ~hops:(Array.make n max_int)
   in
-  Spf_tree.make ~graph:g ~root ~parent ~dist:units ~hops
+  compute_into s g ~weights tree;
+  tree
 
 let compute_flat g ~weights root = compute_flat_s (scratch ()) g ~weights root
 

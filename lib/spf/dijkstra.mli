@@ -70,9 +70,10 @@ val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
     [compute_flat g ~weights:(compute_weights ...) root]. *)
 
 type scratch
-(** Reusable work arrays (settled flags, composite distances, the monotone
-    {!Radix_queue}) for the inner loop.  Owned by one domain at a time;
-    resizes itself to whatever graph it is used on. *)
+(** Reusable work arrays (settled flags, composite distances, parent link
+    ids, a cache of [Some link] values, the monotone {!Radix_queue}) for
+    the inner loop.  Owned by one domain at a time; resizes itself to
+    whatever graph it is used on. *)
 
 val scratch : unit -> scratch
 
@@ -81,6 +82,17 @@ val compute_flat_s :
 (** {!compute_flat} with caller-owned scratch: bit-identical trees, no
     per-call work-array allocation.  [compute_flat g] is
     [compute_flat_s (scratch ()) g]. *)
+
+val compute_into :
+  scratch -> Graph.t -> weights:int array -> Spf_tree.t -> unit
+(** [compute_into s g ~weights tree] recomputes [tree] from scratch under
+    [weights], rooted where it was, overwriting its distances, hop counts
+    and parent links in place: afterwards it is {!Spf_tree.equal} to
+    [compute_flat_s s g ~weights (Spf_tree.root tree)], whatever it held
+    before.  Allocation-free once the scratch has grown to the graph
+    (parent links come from the scratch's [Some link] cache).  Every
+    holder of [tree] sees the new values.
+    @raise Invalid_argument if [tree] is not sized for [g]. *)
 
 val source_chunk : sources:int -> domains:int -> int
 (** Chunk size for fanning [sources] single-source computations over

@@ -26,8 +26,9 @@ open! Import
    test is bit-identical to a full recompute.  Trees that fail any test
    are brought up to date by {!Spf_repair} — in-place dynamic repair that
    re-settles only the disturbed region and restores the same bit-identity
-   — or, when repair is off or the tree is missing, recomputed in full.
-   Both paths fan over the domain pool when the batch is big enough. *)
+   — or, when repair is off or the tree is missing, recomputed in full,
+   into the existing tree when there is one.  Both paths fan over the
+   domain pool when the batch is big enough. *)
 
 type stats = {
   mutable refreshes : int;
@@ -53,6 +54,18 @@ type t = {
   trees : Spf_tree.t option array;
   scratch : Dijkstra.scratch; (* caller-domain work arrays, reused forever *)
   repair_scratch : Spf_repair.scratch;
+  (* The last refresh's weight changes as int columns, first [nch] live:
+     link id, old and new composite weight. *)
+  ch_link : int array;
+  ch_old : int array;
+  ch_new : int array;
+  mutable nch : int;
+  (* Source worklists, filled in ascending order: sources to recompute
+     (first [ntodo]) and trees to repair (first [nrepair]). *)
+  todo : int array;
+  mutable ntodo : int;
+  to_repair : int array;
+  mutable nrepair : int;
   stats : stats;
 }
 
@@ -67,6 +80,7 @@ let full_sweep_fraction = 0.25
 let repair_grain = 256
 
 let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
+  let n = Graph.node_count graph and nl = Graph.link_count graph in
   { graph;
     pool;
     repair;
@@ -75,9 +89,17 @@ let create ?pool ?(tracer = Tracer.null) ?(repair = true) graph =
     tr_repair = Tracer.intern tracer "spf_repair";
     weights = [||];
     weights_scratch = [||];
-    trees = Array.make (Graph.node_count graph) None;
+    trees = Array.make n None;
     scratch = Dijkstra.scratch ();
     repair_scratch = Spf_repair.scratch ();
+    ch_link = Array.make nl 0;
+    ch_old = Array.make nl 0;
+    ch_new = Array.make nl 0;
+    nch = 0;
+    todo = Array.make n 0;
+    ntodo = 0;
+    to_repair = Array.make n 0;
+    nrepair = 0;
     stats =
       { refreshes = 0;
         skipped = 0;
@@ -100,14 +122,17 @@ let stats t = t.stats
    sources (the common per-period case) stay sequential. *)
 let parallel_grain = 16_384
 
-let recompute t sources =
-  let todo = Array.of_list sources in
-  let nt = Array.length todo in
+(* Recompute the first [ntodo] sources of the [todo] worklist.  An
+   existing tree is recomputed in place; only a missing one is
+   allocated. *)
+let recompute t =
+  let nt = t.ntodo in
   if nt > 0 then begin
     Tracer.span_begin_range t.tracer t.tr_recompute ~lo:0 ~hi:nt;
     t.stats.sources_recomputed <- t.stats.sources_recomputed + nt;
     let weights = t.weights in
     let g = t.graph in
+    let todo = t.todo in
     let work = nt * (Graph.node_count g + Graph.link_count g) in
     (match t.pool with
     | Some pool when Domain_pool.size pool > 1 && work >= parallel_grain ->
@@ -117,76 +142,135 @@ let recompute t sources =
       Domain_pool.parallel_for_with ~chunk ~label:t.tr_recompute pool
         ~init:Dijkstra.scratch nt (fun s k ->
           let i = todo.(k) in
-          t.trees.(i) <-
-            Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i)))
+          match t.trees.(i) with
+          | Some tree -> Dijkstra.compute_into s g ~weights tree
+          | None ->
+            t.trees.(i) <-
+              Some (Dijkstra.compute_flat_s s g ~weights (Node.of_int i)))
     | Some _ | None ->
       for k = 0 to nt - 1 do
         let i = todo.(k) in
-        t.trees.(i) <-
-          Some (Dijkstra.compute_flat_s t.scratch g ~weights (Node.of_int i))
+        match t.trees.(i) with
+        | Some tree -> Dijkstra.compute_into t.scratch g ~weights tree
+        | None ->
+          t.trees.(i) <-
+            Some (Dijkstra.compute_flat_s t.scratch g ~weights (Node.of_int i))
       done);
-    Tracer.span_end t.tracer t.tr_recompute
+    Tracer.span_end t.tracer t.tr_recompute;
+    t.ntodo <- 0
   end
 
-(* Repair affected trees in place.  Per-tree work is proportional to the
-   disturbed region, usually a few nodes, so the fan-out threshold is a
-   tree count ([repair_grain]) rather than a visit estimate. *)
-let repair_trees t sources changes =
-  match sources with
-  | [] -> ()
-  | _ ->
-    let todo = Array.of_list sources in
-    let nt = Array.length todo in
+(* Repair one tree over the staged change columns. *)
+let repair_one s t tree =
+  for c = 0 to t.nch - 1 do
+    Spf_repair.stage s (Link.id_of_int t.ch_link.(c)) ~old_w:t.ch_old.(c)
+      ~new_w:t.ch_new.(c)
+  done;
+  Spf_repair.repair_staged s t.graph ~tree ~weights:t.weights
+
+(* Repair the first [nrepair] trees of the [to_repair] worklist in place.
+   Per-tree work is proportional to the disturbed region, usually a few
+   nodes, so the fan-out threshold is a tree count ([repair_grain]) rather
+   than a visit estimate. *)
+let repair_trees t =
+  let nt = t.nrepair in
+  if nt > 0 then begin
     Tracer.span_begin_range t.tracer t.tr_repair ~lo:0 ~hi:nt;
     t.stats.sources_repaired <- t.stats.sources_repaired + nt;
-    let weights = t.weights in
-    let g = t.graph in
     (match t.pool with
     | Some pool when Domain_pool.size pool > 1 && nt >= repair_grain ->
       let resettled = Array.make nt 0 in
       let chunk =
         Dijkstra.source_chunk ~sources:nt ~domains:(Domain_pool.size pool)
       in
+      let to_repair = t.to_repair in
       Domain_pool.parallel_for_with ~chunk ~label:t.tr_repair pool
         ~init:Spf_repair.scratch nt (fun s k ->
-          let tree = Option.get t.trees.(todo.(k)) in
-          resettled.(k) <- Spf_repair.repair s g ~tree ~weights ~changes);
+          let tree = Option.get t.trees.(to_repair.(k)) in
+          resettled.(k) <- repair_one s t tree);
       t.stats.nodes_resettled <-
         t.stats.nodes_resettled + Array.fold_left ( + ) 0 resettled
     | Some _ | None ->
       for k = 0 to nt - 1 do
-        let tree = Option.get t.trees.(todo.(k)) in
+        let tree = Option.get t.trees.(t.to_repair.(k)) in
         t.stats.nodes_resettled <-
-          t.stats.nodes_resettled
-          + Spf_repair.repair t.repair_scratch g ~tree ~weights ~changes
+          t.stats.nodes_resettled + repair_one t.repair_scratch t tree
       done);
-    Tracer.span_end t.tracer t.tr_repair
+    Tracer.span_end t.tracer t.tr_repair;
+    t.nrepair <- 0
+  end
 
-(* Can this set of weight changes alter [tree]?  See the module comment for
+(* Can the staged weight changes alter [tree]?  See the module comment for
    why "no" here is a proof, not a heuristic. *)
-let affected t tree changes =
-  let composite n =
-    Dijkstra.composite ~dist:(Spf_tree.dist tree n) ~hops:(Spf_tree.hops tree n)
-  in
-  List.exists
-    (fun (lid, old_w, new_w) ->
-      let l = Graph.link t.graph lid in
-      let decrease = new_w >= 0 && (old_w < 0 || new_w < old_w) in
+let affected t tree =
+  let g = t.graph in
+  let hit = ref false and c = ref 0 in
+  while (not !hit) && !c < t.nch do
+    let lid = t.ch_link.(!c) in
+    let old_w = t.ch_old.(!c) and new_w = t.ch_new.(!c) in
+    let l = Graph.link g (Link.id_of_int lid) in
+    let src = l.Link.src and dst = l.Link.dst in
+    let decrease = new_w >= 0 && (old_w < 0 || new_w < old_w) in
+    hit :=
       if decrease then
-        Spf_tree.reached tree l.Link.src
-        && ((not (Spf_tree.reached tree l.Link.dst))
-           || composite l.Link.src + new_w <= composite l.Link.dst)
-      else begin
-        match Spf_tree.parent_link tree l.Link.dst with
-        | Some p -> Link.id_equal p.Link.id lid
-        | None -> false
-      end)
-    changes
+        Spf_tree.reached tree src
+        && ((not (Spf_tree.reached tree dst))
+           || Dijkstra.composite ~dist:(Spf_tree.dist tree src)
+                ~hops:(Spf_tree.hops tree src)
+              + new_w
+              <= Dijkstra.composite ~dist:(Spf_tree.dist tree dst)
+                   ~hops:(Spf_tree.hops tree dst))
+      else Spf_tree.parent_id tree (Node.to_int dst) = lid;
+    incr c
+  done;
+  !hit
 
 (* [?wanted] stays an option internally so the steady path never builds
    the [Node.of_int] wrapper closure the old code allocated per refresh. *)
 let[@inline] wanted_at wanted i =
   match wanted with None -> true | Some f -> f (Node.of_int i)
+
+let[@inline] push_todo t i =
+  t.todo.(t.ntodo) <- i;
+  t.ntodo <- t.ntodo + 1
+
+(* Change path (floods happened): [w] is the new table, [old] the
+   previous one, and their diff is staged in the change columns.  Swap
+   the tables and either sweep every wanted source or fall back to the
+   proof-driven repair/recompute split.  Existing trees are recomputed or
+   repaired in place, so with every wanted tree present this allocates
+   nothing. *)
+let refresh_changed t ~wanted ~w ~old =
+  t.weights <- w;
+  t.weights_scratch <- old;
+  let n = Graph.node_count t.graph in
+  if
+    float_of_int t.nch
+    > full_sweep_fraction *. float_of_int (Graph.link_count t.graph)
+  then begin
+    t.stats.full_sweeps <- t.stats.full_sweeps + 1;
+    for i = 0 to n - 1 do
+      if wanted_at wanted i then push_todo t i
+    done
+  end
+  else
+    for i = 0 to n - 1 do
+      match t.trees.(i) with
+      | Some tree when not (affected t tree) ->
+        (* Provably identical to a recompute — keep it, wanted or not. *)
+        t.stats.sources_reused <- t.stats.sources_reused + 1
+      | Some _ ->
+        if not (wanted_at wanted i) then t.trees.(i) <- None
+        else if t.repair then begin
+          t.to_repair.(t.nrepair) <- i;
+          t.nrepair <- t.nrepair + 1
+        end
+        else push_todo t i
+      | None -> if wanted_at wanted i then push_todo t i
+    done;
+  repair_trees t;
+  recompute t
+[@@hot_path]
 
 let refresh ?wanted ?enabled t ~cost =
   t.stats.refreshes <- t.stats.refreshes + 1;
@@ -196,84 +280,38 @@ let refresh ?wanted ?enabled t ~cost =
     t.weights <- Dijkstra.compute_weights ?enabled t.graph ~cost;
     t.weights_scratch <- Array.make (Array.length t.weights) (-1);
     t.stats.full_sweeps <- t.stats.full_sweeps + 1;
-    let todo = ref [] in
-    for i = n - 1 downto 0 do
-      if wanted_at wanted i then todo := i :: !todo else t.trees.(i) <- None
+    for i = 0 to n - 1 do
+      if wanted_at wanted i then push_todo t i else t.trees.(i) <- None
     done;
-    recompute t !todo
+    recompute t
   end
   else begin
     let w = t.weights_scratch in
     let old = t.weights in
     Dijkstra.compute_weights_into ?enabled t.graph ~cost w;
-    let nl = Array.length w in
-    let nchanged = ref 0 in
-    for i = 0 to nl - 1 do
-      if w.(i) <> old.(i) then incr nchanged
+    t.nch <- 0;
+    for i = 0 to Array.length w - 1 do
+      if w.(i) <> old.(i) then begin
+        t.ch_link.(t.nch) <- i;
+        t.ch_old.(t.nch) <- old.(i);
+        t.ch_new.(t.nch) <- w.(i);
+        t.nch <- t.nch + 1
+      end
     done;
-    if !nchanged = 0 then begin
+    if t.nch = 0 then begin
       (* Nothing flooded a significant update: every existing tree is
          still exact; only sources newly wanted need work.  This is the
          per-period steady path and allocates nothing (unless trees are
          missing, which only happens right after a wanted-set change). *)
-      let missing = ref 0 in
       for i = 0 to n - 1 do
         match t.trees.(i) with
         | Some _ -> t.stats.sources_reused <- t.stats.sources_reused + 1
-        | None -> if wanted_at wanted i then incr missing
+        | None -> if wanted_at wanted i then push_todo t i
       done;
-      if !missing = 0 then t.stats.skipped <- t.stats.skipped + 1
-      else begin
-        let todo = ref [] in
-        for i = n - 1 downto 0 do
-          match t.trees.(i) with
-          | None -> if wanted_at wanted i then todo := i :: !todo
-          | Some _ -> ()
-        done;
-        recompute t !todo
-      end
+      if t.ntodo = 0 then t.stats.skipped <- t.stats.skipped + 1
+      else recompute t
     end
-    else begin
-      (* Change path (floods happened): swap the tables and fall back to
-         the proof-driven repair/recompute split.  Allocation is fine
-         here — the network itself is churning. *)
-      t.weights <- w;
-      t.weights_scratch <- old;
-      let changes = ref [] in
-      for i = nl - 1 downto 0 do
-        if w.(i) <> old.(i) then
-          changes := (Link.id_of_int i, old.(i), w.(i)) :: !changes
-      done;
-      let changes = !changes in
-      if
-        float_of_int !nchanged
-        > full_sweep_fraction *. float_of_int (Graph.link_count t.graph)
-      then begin
-        t.stats.full_sweeps <- t.stats.full_sweeps + 1;
-        let todo = ref [] in
-        for i = n - 1 downto 0 do
-          if wanted_at wanted i then todo := i :: !todo
-        done;
-        recompute t !todo
-      end
-      else begin
-        let todo = ref [] in
-        let to_repair = ref [] in
-        for i = n - 1 downto 0 do
-          match t.trees.(i) with
-          | Some tree when not (affected t tree changes) ->
-            (* Provably identical to a recompute — keep it, wanted or not. *)
-            t.stats.sources_reused <- t.stats.sources_reused + 1
-          | Some _ ->
-            if not (wanted_at wanted i) then t.trees.(i) <- None
-            else if t.repair then to_repair := i :: !to_repair
-            else todo := i :: !todo
-          | None -> if wanted_at wanted i then todo := i :: !todo
-        done;
-        repair_trees t !to_repair changes;
-        recompute t !todo
-      end
-    end
+    else refresh_changed t ~wanted ~w ~old
   end
 
 let tree t node =

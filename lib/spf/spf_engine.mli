@@ -29,10 +29,13 @@ open! Import
     links), repair restores exactly the from-scratch fixpoint, and
     parallel sources each write only their own slot.
 
-    {b Aliasing.}  Repair patches trees in place: a [Spf_tree.t] obtained
-    from the engine reflects the {e latest} refresh, not the one it was
-    fetched under.  Callers needing a frozen snapshot must copy before
-    the next refresh. *)
+    {b Aliasing.}  Trees are live: {!refresh} updates every tree it keeps
+    in place, whether it repairs it or recomputes it
+    ({!Dijkstra.compute_into}), so a [Spf_tree.t] obtained from {!tree}
+    reflects the {e latest} refresh, not the one it was fetched under.
+    Only a missing tree is allocated, which makes a refresh with every
+    wanted tree present allocation-free, full sweeps included.  Callers
+    needing a frozen snapshot must copy before the next refresh. *)
 
 type t
 
@@ -72,7 +75,8 @@ val refresh :
 
 val tree : t -> Node.t -> Spf_tree.t
 (** The current tree rooted at the node, computing it on demand if the
-    last refresh didn't want it.
+    last refresh didn't want it.  The tree is live: later refreshes
+    update it in place.
     @raise Invalid_argument before the first {!refresh}. *)
 
 type stats = {

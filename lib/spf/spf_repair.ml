@@ -24,7 +24,7 @@ open! Import
    pop order, and achieving predecessors that never enter the queue are
    exactly the intact ones the seeding phase already scanned.
 
-   Structure note: [repair] runs every routing period on the simulator's
+   Structure note: [repair_staged] runs every routing period on the simulator's
    steady path and is pinned allocation-free by the A0xx gate (DESIGN.md
    §8).  Hence no local closures (their environment blocks allocate): the
    changes arrive through a staging buffer of int columns in the scratch,
@@ -73,7 +73,8 @@ let scratch () =
     nch = 0 }
 
 (* Kept out of line: the resize path allocates, and inlining it into
-   [repair] would put those (cold) sites inside the A0xx-gated body. *)
+   [repair_staged] would put those (cold) sites inside the A0xx-gated
+   body. *)
 let[@inline never] ready s n nl =
   if Array.length s.stamp < n then begin
     s.stamp <- Array.make n 0;
@@ -297,16 +298,4 @@ let repair_staged s g ~tree ~weights =
   done;
   s.nch <- 0;
   !resettled
-[@@hot_path]
-
-let rec stage_list s = function
-  | [] -> ()
-  | (lid, old_w, new_w) :: rest ->
-    stage s lid ~old_w ~new_w;
-    stage_list s rest
-[@@hot_path]
-
-let repair s g ~tree ~weights ~changes =
-  stage_list s changes;
-  repair_staged s g ~tree ~weights
 [@@hot_path]

@@ -3,7 +3,7 @@ open! Import
 (** In-place dynamic SPF repair (Ramalingam–Reps style).
 
     Given a tree that was exact under the previous weight table and the
-    list of per-link weight changes, {!repair} patches the tree's
+    per-link weight changes, {!repair_staged} patches the tree's
     distances, hop counts and parent links so that it is {b bit-identical}
     to [Dijkstra.compute_flat] from scratch under the new table — in time
     proportional to the part of the tree that actually changes, not the
@@ -41,35 +41,19 @@ type scratch
 
 val scratch : unit -> scratch
 
-val repair :
-  scratch ->
-  Graph.t ->
-  tree:Spf_tree.t ->
-  weights:int array ->
-  changes:(Link.id * int * int) list ->
-  int
-(** [repair s g ~tree ~weights ~changes] patches [tree] in place and
-    returns the number of nodes re-settled (0 when the changes turn out
-    not to touch this tree).  [weights] is the {e new} composite table
-    from [Dijkstra.compute_weights];
-    [changes] lists [(link, old_weight, new_weight)] for every table
-    entry that differs, with [-1] for disabled.  [tree] must have been
-    exact under the old table.  Any negative weight, here and in
-    [weights], means disabled. *)
-
-(** {2 Allocation-free form}
-
-    Callers that learn their changes one link at a time (a PSN applying a
-    routing update to its own table) stage them in the scratch instead of
-    building the [changes] list. *)
-
 val stage : scratch -> Link.id -> old_w:int -> new_w:int -> unit
 (** Queue one [(link, old_weight, new_weight)] change for the next
-    {!repair_staged} on this scratch.  Each link at most once per
-    repair. *)
+    {!repair_staged} on this scratch: every table entry that differs,
+    with any negative weight meaning disabled.  Each link at most once
+    per repair.  Changes are staged in int columns, so callers learning
+    them one link at a time (a PSN applying a routing update, the engine
+    diffing its weight table) build no list. *)
 
 val repair_staged :
   scratch -> Graph.t -> tree:Spf_tree.t -> weights:int array -> int
-(** {!repair} over the staged changes, which it then discards.
-    [repair s g ~tree ~weights ~changes] is [stage] of every change
-    followed by [repair_staged s g ~tree ~weights]. *)
+(** [repair_staged s g ~tree ~weights] patches [tree] in place over the
+    staged changes, which it then discards, and returns the number of
+    nodes re-settled (0 when the changes turn out not to touch this
+    tree).  [weights] is the {e new} composite table from
+    [Dijkstra.compute_weights] (negative means disabled); [tree] must
+    have been exact under the old table. *)

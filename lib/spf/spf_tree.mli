@@ -5,7 +5,12 @@ open! Import
     A tree is rooted at the computing PSN.  Because shortest paths are
     hereditary (every subpath of a shortest path is a shortest path — §4.1),
     the tree simultaneously encodes the full path, the next hop and the
-    distance for every destination. *)
+    distance for every destination.
+
+    A tree is not necessarily frozen: {!Spf_engine} keeps its trees live,
+    updating them in place on every refresh ({!Spf_repair} patches the
+    disturbed region, [Dijkstra.compute_into] overwrites the whole tree),
+    so every holder of a tree sees the latest values. *)
 
 type t
 
@@ -50,10 +55,10 @@ val parent_id : t -> int -> int
 
 val unsafe_parent : t -> Link.id option array
 (** The tree's own parent array, exposed (with {!unsafe_dist} and
-    {!unsafe_hops}) so {!Spf_repair} can patch it in place.  Mutating it
-    silently changes what every holder of the tree sees; only the repair
-    path, which restores the [Dijkstra.compute] invariant before
-    returning, may write. *)
+    {!unsafe_hops}) so {!Spf_repair} and [Dijkstra.compute_into] can
+    update it in place.  Mutating it silently changes what every holder
+    of the tree sees; only those two, which restore the
+    [Dijkstra.compute] invariant before returning, may write. *)
 
 val unsafe_dist : t -> int array
 

@@ -127,6 +127,109 @@ let prop_flood_covers_random_graphs =
          its receiving end or a duplicate discard. *)
       && o.Broadcast.transmissions = o.Broadcast.reached - 1 + o.Broadcast.duplicates)
 
+(* Reference model: the flood as a FIFO of individual transmissions, each
+   receipt classified and its forward list built from the list adjacency —
+   the straightforward form [Broadcast.flood] must agree with.  The
+   per-node state is the model's own, so a fault shared by [Flooder] and
+   [Broadcast] still shows. *)
+type ref_node = {
+  newest : int option array; (* per origin *)
+  mutable accepted : int;
+  mutable duplicates : int;
+}
+
+let ref_flood g nodes (u : Update.t) =
+  let reached = ref 0 and transmissions = ref 0 and duplicates = ref 0 in
+  let queue = Queue.create () in
+  Queue.add (None, Node.to_int u.Update.origin) queue;
+  while not (Queue.is_empty queue) do
+    let arrived_on, i = Queue.pop queue in
+    let st = nodes.(i) in
+    let o = Node.to_int u.Update.origin in
+    let fresh =
+      match (arrived_on, st.newest.(o)) with
+      | None, _ | Some _, None -> true
+      | Some _, Some seen -> Sequence.newer u.Update.seq (Sequence.of_int seen)
+    in
+    if fresh then begin
+      st.newest.(o) <- Some (Sequence.to_int u.Update.seq);
+      st.accepted <- st.accepted + 1;
+      incr reached;
+      Graph.out_links g (Node.of_int i)
+      |> List.iter (fun (l : Link.t) ->
+             let back =
+               match arrived_on with
+               | Some in_link ->
+                 Link.id_equal (Graph.reverse g l).Link.id in_link
+               | None -> false
+             in
+             if not back then begin
+               incr transmissions;
+               Queue.add (Some l.Link.id, Node.to_int l.Link.dst) queue
+             end)
+    end
+    else begin
+      st.duplicates <- st.duplicates + 1;
+      incr duplicates
+    end
+  done;
+  { Broadcast.reached = !reached;
+    transmissions = !transmissions;
+    duplicates = !duplicates;
+    bits = float_of_int !transmissions *. Update.size_bits u }
+
+(* Random floods on random connected graphs, with sequence numbers drawn
+   to be repeated, stale, fresh, far ahead and wrapping through zero:
+   [Broadcast.flood] equals the reference on the whole outcome, and every
+   flooder's counters and newest-seen table equal the model's. *)
+let prop_flood_matches_reference =
+  QCheck2.Test.make ~name:"flood = transmission-FIFO reference" ~count:60
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 + Rng.int rng 20 in
+      let g = Generators.ring_chord rng ~nodes:n ~chords:(Rng.int rng (2 * n)) in
+      let flooders = make_flooders g in
+      let model =
+        Array.init n (fun _ ->
+            { newest = Array.make n None; accepted = 0; duplicates = 0 })
+      in
+      (* Start near the top of the space so sequences wrap through 0. *)
+      let last = Array.init n (fun _ -> Sequence.space - 1 - Rng.int rng 4) in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        let o = Rng.int rng n in
+        let seq =
+          match Rng.int rng 5 with
+          | 0 -> last.(o) (* repeated *)
+          | 1 -> last.(o) - 1 - Rng.int rng 3 (* stale *)
+          | 2 -> last.(o) + (Sequence.space / 2) + Rng.int rng 100 (* far *)
+          | _ -> last.(o) + 1 + Rng.int rng 3 (* fresh *)
+        in
+        let seq = Sequence.of_int ((seq + Sequence.space) mod Sequence.space) in
+        last.(o) <- Sequence.to_int seq;
+        let costs = List.init (Rng.int rng 3) (fun k -> (Link.id_of_int k, 10)) in
+        let u = { Update.origin = Node.of_int o; seq; costs } in
+        let got = Broadcast.flood g flooders u in
+        let want = ref_flood g model u in
+        if got <> want then ok := false
+      done;
+      Array.iteri
+        (fun i f ->
+          let m = model.(i) in
+          if
+            Flooder.accepted_count f <> m.accepted
+            || Flooder.duplicate_count f <> m.duplicates
+          then ok := false;
+          for o = 0 to n - 1 do
+            let seen =
+              Option.map Sequence.to_int (Flooder.last_seq f (Node.of_int o))
+            in
+            if seen <> m.newest.(o) then ok := false
+          done)
+        flooders;
+      !ok)
+
 (* The October 1980 pathology: three sequence numbers forming a cycle
    under the half-space comparison keep every update alive forever. *)
 let test_cyclic_sequences_never_die () =
@@ -241,7 +344,9 @@ let () =
             test_flood_never_reverses_arrival_link;
           Alcotest.test_case "flood_all" `Quick test_flood_all_accumulates;
           Alcotest.test_case "crash of 1980" `Quick test_cyclic_sequences_never_die ]
-        @ qsuite [ prop_flood_covers_random_graphs ] );
+        @ qsuite
+            [ prop_flood_covers_random_graphs; prop_flood_matches_reference ]
+      );
       ( "control",
         [ Alcotest.test_case "one update per origin" `Quick
             test_control_plane_groups_by_origin;

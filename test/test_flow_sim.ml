@@ -7,6 +7,7 @@ module Measure = Routing_sim.Measure
 module Metric = Routing_metric.Metric
 module Rng = Routing_stats.Rng
 module Tracer = Routing_obs.Tracer
+module Spf_engine = Routing_spf.Spf_engine
 
 (* The Fig 1 scenario: two regions, two equal bridges, heavy inter-region
    load (~74% of combined bridge capacity). *)
@@ -312,6 +313,52 @@ let test_hnspf_quiet_periods_allocate_nothing () =
   Alcotest.(check bool) "tracer recorded period spans" true
     (Tracer.slots tracer > 0 && Tracer.slot_recorded tracer 0 > 0)
 
+(* The same gate on active periods: under D-SPF on the ARPANET builtin
+   about half the links flood a new cost every period, so every refresh
+   is a full sweep.  Recomputing the trees in place allocates nothing; a
+   whole tick allocates only the period's [Update.t] lists and flood
+   outcomes, well under a fixed bound.  The refresh is measured on an
+   engine of its own, fed the costs the simulator just flooded — the
+   same refresh the simulator runs at the start of its next period. *)
+let test_dspf_active_periods_bounded () =
+  let g = Arpanet.topology () in
+  let tm = Arpanet.peak_traffic (Rng.create 7) g in
+  let sim = Flow_sim.create ~domains:1 g Metric.D_spf tm in
+  let engine = Spf_engine.create g in
+  let cost = Metric.cost (Flow_sim.metric sim) in
+  let full_sweeps () = (Spf_engine.stats engine).Spf_engine.full_sweeps in
+  for _ = 1 to 20 do
+    Flow_sim.tick sim;
+    Spf_engine.refresh engine ~cost
+  done;
+  let measured = 12 in
+  let tick_words = Array.make measured 0. in
+  let refresh_words = Array.make measured 0. in
+  let swept = Array.make measured false in
+  for k = 0 to measured - 1 do
+    let before = Gc.minor_words () in
+    Flow_sim.tick sim;
+    tick_words.(k) <- Gc.minor_words () -. before;
+    let sweeps = full_sweeps () in
+    let before = Gc.minor_words () in
+    Spf_engine.refresh engine ~cost;
+    refresh_words.(k) <- Gc.minor_words () -. before;
+    swept.(k) <- full_sweeps () > sweeps
+  done;
+  for k = 0 to measured - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "period %d is a full sweep" k)
+      true swept.(k);
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "full-sweep refresh %d allocates nothing" k)
+      0. refresh_words.(k);
+    Alcotest.(check bool)
+      (Printf.sprintf "active tick %d allocates < 4096 words (%.0f)" k
+         tick_words.(k))
+      true
+      (tick_words.(k) < 4096.)
+  done
+
 let test_route_change_counters () =
   let g, tm, _, _ = two_region_setup () in
   (* D-SPF's oscillation is route flapping by definition: flows stampede
@@ -403,7 +450,9 @@ let () =
         [ Alcotest.test_case "static metric steady state" `Quick
             test_static_steady_state_allocates_nothing;
           Alcotest.test_case "HN-SPF quiet periods (traced)" `Quick
-            test_hnspf_quiet_periods_allocate_nothing ] );
+            test_hnspf_quiet_periods_allocate_nothing;
+          Alcotest.test_case "D-SPF active periods on arpanet" `Quick
+            test_dspf_active_periods_bounded ] );
       ( "route changes",
         [ Alcotest.test_case "counters" `Quick test_route_change_counters;
           Alcotest.test_case "delay percentiles" `Quick

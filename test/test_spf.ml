@@ -283,6 +283,49 @@ let test_tree_paths_and_next_hop () =
   Alcotest.(check bool) "destinations_via includes D" true
     (List.exists (Node.equal d) via)
 
+(* One tree recomputed in place across many random weight tables: random
+   costs (narrow ranges make ties common), random down links, and now and
+   then every link out of the root down, so nodes go reached -> unreached
+   -> reached.  The scratch first serves a larger graph, so its arrays are
+   longer than this one's.  After every table the tree equals a fresh
+   [compute_flat]. *)
+let prop_compute_into_matches_flat =
+  QCheck2.Test.make ~name:"compute_into on a reused tree = compute_flat"
+    ~count:40
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graph.node_count g and nl = Graph.link_count g in
+      let rng = Rng.create (seed * 17 + 3) in
+      let s = Dijkstra.scratch () in
+      let big = Generators.ring_chord (Rng.create seed) ~nodes:(n + 5) ~chords:n in
+      ignore
+        (Dijkstra.compute_flat_s s big
+           ~weights:(Dijkstra.compute_weights big ~cost:(constant_cost 3))
+           (Node.of_int 0));
+      let root = Node.of_int (Rng.int rng n) in
+      let tree =
+        Dijkstra.compute_flat_s s g
+          ~weights:(Dijkstra.compute_weights g ~cost:(constant_cost 1))
+          root
+      in
+      let ok = ref true in
+      for round = 1 to 25 do
+        let range = if round mod 2 = 0 then 3 else 60 in
+        let isolate = Rng.int rng 5 = 0 in
+        let weights =
+          Array.init nl (fun i ->
+              let l = Graph.link g (Link.id_of_int i) in
+              if isolate && Node.equal l.Link.src root then -1
+              else if Rng.int rng 6 = 0 then -1
+              else Dijkstra.cost_weight (1 + Rng.int rng range))
+        in
+        Dijkstra.compute_into s g ~weights tree;
+        if not (Spf_tree.equal tree (Dijkstra.compute_flat g ~weights root))
+        then ok := false
+      done;
+      !ok)
+
 (* --- Incremental SPF: in-place tree repair --- *)
 
 (* Set one link's composite weight ([-1] disables it) and repair [tree]
@@ -292,7 +335,8 @@ let set_weight s g ~tree weights lid w =
   let i = Link.id_to_int lid in
   let old_w = weights.(i) in
   weights.(i) <- w;
-  Spf_repair.repair s g ~tree ~weights ~changes:[ (lid, old_w, w) ]
+  Spf_repair.stage s lid ~old_w ~new_w:w;
+  Spf_repair.repair_staged s g ~tree ~weights
 
 let test_incremental_ignores_irrelevant_increase () =
   let g = diamond () in
@@ -494,7 +538,8 @@ let () =
         @ qsuite
             [ prop_dijkstra_optimality;
               prop_dijkstra_agrees_with_bellman_ford;
-              prop_shortest_paths_hereditary ] );
+              prop_shortest_paths_hereditary;
+              prop_compute_into_matches_flat ] );
       ( "spf_tree",
         [ Alcotest.test_case "paths and next hop" `Quick
             test_tree_paths_and_next_hop ] );
