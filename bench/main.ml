@@ -1113,6 +1113,42 @@ let perf () =
     Array.init (Graph.node_count g) (fun i ->
         Routing_flooding.Flooder.create g ~owner:(Node.of_int i))
   in
+  (* The full sweep a D-SPF period pays: an engine alternating between
+     two consecutive flooded-cost tables of a warmed-up D-SPF run, whose
+     oscillating costs move well over a quarter of the links between
+     periods, so every refresh recomputes all 57 trees in place.  Unlike
+     the uniform-cost rows, the keys rarely tie. *)
+  let sweep_costs =
+    let sim = Flow_sim.create ~domains:1 g Metric.D_spf tm in
+    for _ = 1 to 20 do
+      Flow_sim.tick sim
+    done;
+    let table () =
+      Array.init (Graph.link_count g) (fun i ->
+          Flow_sim.link_cost sim (Link.id_of_int i))
+    in
+    let a = table () in
+    Flow_sim.tick sim;
+    let b = table () in
+    ((fun l -> a.(Link.id_to_int l)), fun l -> b.(Link.id_to_int l))
+  in
+  let sweep_engine = Routing_spf.Spf_engine.create g in
+  let sweep_flip = ref false in
+  let sweep () =
+    sweep_flip := not !sweep_flip;
+    Routing_spf.Spf_engine.refresh sweep_engine
+      ~cost:(if !sweep_flip then fst sweep_costs else snd sweep_costs)
+  in
+  let sweeps () =
+    (Routing_spf.Spf_engine.stats sweep_engine).Routing_spf.Spf_engine
+      .full_sweeps
+  in
+  for _ = 1 to 4 do
+    let before = sweeps () in
+    sweep ();
+    if sweeps () <> before + 1 then
+      failwith "perf: the D-SPF cost tables do not force a full sweep"
+  done;
   let tests =
     Test.make_grouped ~name:"arpanet" ~fmt:"%s %s"
       [ Test.make ~name:"dijkstra (57 nodes)"
@@ -1145,6 +1181,8 @@ let perf () =
         Test.make ~name:"in-place recompute (one node)"
           (Staged.stage (fun () ->
                Routing_spf.Dijkstra.compute_into spf_scratch g ~weights swept));
+        Test.make ~name:"full-sweep refresh, D-SPF costs (57 trees)"
+          (Staged.stage sweep);
         Test.make ~name:"hnm period update"
           (Staged.stage (fun () ->
                ignore (Hnm.period_update hnm ~measured_delay_s:0.05)));
@@ -1409,6 +1447,50 @@ let write_bench_json path ~rev ~domains ~topologies rows =
       [ ( "speedups_vs_full_recompute",
           Obs_json.List (List.map speedup_of topologies) ) ]
 
+(* The full-sweep path of the same gate: one tree per source, recomputed
+   in place ([Dijkstra.compute_into], one scratch throughout) over a
+   sequence of random weight tables, alternately tie-heavy (costs 1..3)
+   and spread (1..60), with about one link in ten down.  Every reused
+   tree must equal a one-shot [Dijkstra.compute] bit for bit. *)
+let recompute_identity_gate () =
+  let check_topology (name, g) =
+    let nl = Graph.link_count g and n = Graph.node_count g in
+    let rng = Rng.create 17 in
+    let s = Routing_spf.Dijkstra.scratch () in
+    let trees =
+      Array.init n (fun i ->
+          Routing_spf.Dijkstra.compute_flat_s s g
+            ~weights:(Routing_spf.Dijkstra.compute_weights g ~cost:(fun _ -> 1))
+            (Node.of_int i))
+    in
+    for round = 1 to 8 do
+      let range = if round mod 2 = 0 then 3 else 60 in
+      let costs = Array.init nl (fun _ -> 1 + Rng.int rng range) in
+      let up = Array.init nl (fun _ -> Rng.int rng 10 <> 0) in
+      let cost lid = costs.(Link.id_to_int lid) in
+      let enabled lid = up.(Link.id_to_int lid) in
+      let weights = Routing_spf.Dijkstra.compute_weights ~enabled g ~cost in
+      Array.iteri
+        (fun i tree ->
+          Routing_spf.Dijkstra.compute_into s g ~weights tree;
+          let fresh =
+            Routing_spf.Dijkstra.compute ~enabled g ~cost (Node.of_int i)
+          in
+          if not (Spf_tree.equal tree fresh) then
+            failwith
+              (Printf.sprintf
+                 "spf identity gate: %s tree for source %d recomputed in \
+                  place diverges in round %d"
+                 name i round))
+        trees
+    done
+  in
+  List.iter check_topology
+    [ ("arpanet", Lazy.force arpanet);
+      ( "mesh200",
+        Generators.ring_chord (Rng.create 99) ~nodes:200 ~chords:120 ) ];
+  note "identity gate: trees recomputed in place match one-shot Dijkstra@."
+
 (* Crash-and-identity gate, run before any timing: drive the repair
    engine through the delta shapes the rows below measure (one-link
    increase and decrease, an 8-link batch, a link outage and its
@@ -1452,7 +1534,8 @@ let spf_identity_gate () =
   check "link disable";
   up.(5) <- true;
   check "link enable";
-  note "identity gate: repaired trees match from-scratch Dijkstra@."
+  note "identity gate: repaired trees match from-scratch Dijkstra@.";
+  recompute_identity_gate ()
 
 (* [record] is the revision stamped into BENCH_spf.json; [None] is the
    smoke mode: tiny quota, no file. *)

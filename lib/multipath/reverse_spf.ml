@@ -10,30 +10,30 @@ type t = {
 let compute ?(enabled = fun _ -> true) g ~cost dst =
   let n = Graph.node_count g in
   let dist = Array.make n max_int in
-  let settled = Array.make n false in
-  (* Monotone pops (every pushed key is a popped key plus a link cost),
-     so the SPF radix queue applies; distances do not depend on the order
-     equal keys settle in. *)
-  let queue = Radix_queue.create () and slot = Radix_queue.slot () in
+  let in_off = Graph.csr_in_off g in
+  let in_link_ids = Graph.csr_in_link_ids g in
+  (* Distances do not depend on the order equal keys settle in.  With
+     non-negative costs a settled node's distance is at most the popped
+     one, so relaxing into it never succeeds: no settled flags. *)
+  let heap = Node_heap.create () in
+  Node_heap.reset heap n;
   dist.(Node.to_int dst) <- 0;
-  Radix_queue.push queue ~key:0 ~tie:0 (Node.to_int dst);
-  while Radix_queue.pop_min_into queue slot do
-    let d = slot.Radix_queue.key and i = slot.Radix_queue.value in
-    if not settled.(i) then begin
-      settled.(i) <- true;
-      (* Relax the *incoming* links: a shorter way for their tails. *)
-      List.iter
-        (fun (l : Link.t) ->
-          if enabled l.Link.id then begin
-            let j = Node.to_int l.Link.src in
-            let d' = d + cost l.Link.id in
-            if d' < dist.(j) then begin
-              dist.(j) <- d';
-              Radix_queue.push queue ~key:d' ~tie:j j
-            end
-          end)
-        (Graph.in_links g (Node.of_int i))
-    end
+  Node_heap.push heap (Node.to_int dst) ~key:0;
+  while not (Node_heap.is_empty heap) do
+    let i = Node_heap.pop_min heap in
+    let d = dist.(i) in
+    (* Relax the *incoming* links: a shorter way for their tails. *)
+    for k = in_off.(i) to in_off.(i + 1) - 1 do
+      let lid = Link.id_of_int in_link_ids.(k) in
+      if enabled lid then begin
+        let j = Node.to_int (Graph.link g lid).Link.src in
+        let d' = d + cost lid in
+        if d' < dist.(j) then begin
+          dist.(j) <- d';
+          Node_heap.push heap j ~key:d'
+        end
+      end
+    done
   done;
   let hops =
     Array.init n (fun i ->

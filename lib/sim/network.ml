@@ -648,7 +648,7 @@ let believed_cost t node lid =
   if t.config.instant_flooding then Metric.cost (metric t) lid
   else begin
     let w = t.views.(Node.to_int node).weights.(Link.id_to_int lid) in
-    Dijkstra.composite_units (if w >= 0 then w else lnot w)
+    Spf_tree.composite_units (if w >= 0 then w else lnot w)
   end
 
 let cost_series t lid = t.cost_series.(Link.id_to_int lid)

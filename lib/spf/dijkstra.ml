@@ -10,8 +10,9 @@ let max_link_cost = 254
 
    The +1 per edge makes hop count the tie-break among equal-cost paths:
    with paths < 256 hops the hop count never carries into the cost, so
-   comparing composites compares (cost, hops) lexicographically. *)
-let hop_scale = 256
+   comparing composites compares (cost, hops) lexicographically.  Trees
+   store composite distances as they are ([Spf_tree.hop_scale]). *)
+let hop_scale = Spf_tree.hop_scale
 
 (* Out of line: the message allocates, and [cost_weight] runs on the
    A0xx-gated per-update path. *)
@@ -40,129 +41,66 @@ let compute_weights ?enabled g ~cost =
   compute_weights_into ?enabled g ~cost weights;
   weights
 
-let composite ~dist ~hops =
-  if dist = max_int then max_int else (dist * hop_scale) + hops
+(* The inner loop's only work array is the node heap: distances and
+   parents are computed straight into the tree's own columns.  A scratch
+   belongs to one domain; the pool fan-out gives each participant its
+   own. *)
+type scratch = { heap : Node_heap.t }
 
-(* Inverse of [composite]: the hop count lives in the low byte and the
-   unit distance above it.  Two int-returning halves rather than a
-   pair: results cross module boundaries unboxed, so the repair resettle
-   loop can re-decode patched distances without allocating. *)
-let composite_units comp =
-  if comp = max_int then max_int else comp / hop_scale
-
-let composite_hops comp = if comp = max_int then max_int else comp mod hop_scale
-
-(* Reusable work arrays for the inner loop.  The settled flags, composite
-   distances, parent link ids and the heap never escape a computation, so
-   one scratch can serve every tree a domain computes.  What escapes is
-   the decoded result, written into a caller's [Spf_tree.t]: in place by
-   [compute_into], into fresh arrays by [compute_flat_s].  Parent links
-   are stored as [Some id] values drawn from a per-scratch cache, so a
-   recompute boxes nothing.  A scratch belongs to one domain; the pool
-   fan-out gives each participant its own. *)
-type scratch = {
-  mutable dist : int array; (* composite distances *)
-  mutable settled : bool array;
-  mutable parent : int array; (* arriving link id, -1 for none *)
-  mutable some_link : Link.id option array; (* some_link.(i) = Some (id i) *)
-  heap : Radix_queue.t;
-  slot : Radix_queue.slot; (* out-cell for allocation-free pops *)
-}
-
-let scratch () =
-  { dist = [||];
-    settled = [||];
-    parent = [||];
-    some_link = [||];
-    heap = Radix_queue.create ();
-    slot = Radix_queue.slot () }
-
-(* Out of line: the resize path allocates, and [compute_into] is
-   A0xx-gated. *)
-let[@inline never] ready s n nl =
-  if Array.length s.dist < n then begin
-    s.dist <- Array.make n max_int;
-    s.settled <- Array.make n false;
-    s.parent <- Array.make n (-1)
-  end
-  else begin
-    Array.fill s.dist 0 n max_int;
-    Array.fill s.settled 0 n false;
-    Array.fill s.parent 0 n (-1)
-  end;
-  if Array.length s.some_link < nl then
-    s.some_link <- Array.init nl (fun i -> Some (Link.id_of_int i));
-  Radix_queue.clear s.heap
+let scratch () = { heap = Node_heap.create () }
 
 let[@inline never] wrong_tree () =
   invalid_arg "Dijkstra.compute_into: tree is not sized for this graph"
 
 (* The SPF inner loop over the flat (CSR) adjacency and a memoized weight
-   table.  Tie-breaking is identical to the historical list-based version:
-   queue priorities are (composite weight, arriving link id) pairs — globally
-   unique — and on a fully tied relaxation the lower arriving link id wins,
-   so the tree is a pure function of the weight table.  Dijkstra never
-   pushes a key below the last popped one (edge weights are positive), the
-   exact precondition of the monotone radix queue. *)
+   table, run on the tree's own columns.  The tree is a pure function of
+   the weight table, whatever order the heap pops equal keys in: every
+   composite edge weight is at least [hop_scale + 1], so each tight
+   predecessor of a node (one whose distance plus the link's weight equals
+   the node's) pops strictly before the node, and relaxing it keeps the
+   lowest-id tight in-link as the parent.  A popped node's neighbours that
+   already popped cannot improve or tie (their distance is at most the
+   popped one's), so no settled flags are needed. *)
 let compute_into s g ~weights tree =
   let n = Graph.node_count g in
-  let units = Spf_tree.unsafe_dist tree in
-  let hops = Spf_tree.unsafe_hops tree in
-  let tparent = Spf_tree.unsafe_parent tree in
-  if Array.length units <> n then wrong_tree ();
+  let comp = Spf_tree.unsafe_comp tree in
+  let parent = Spf_tree.unsafe_parent tree in
+  if Array.length comp <> n then wrong_tree ();
   let out_off = Graph.csr_out_off g in
   let out_link_ids = Graph.csr_out_link_ids g in
   let out_dst = Graph.csr_out_dst g in
-  ready s n (Graph.link_count g);
-  let dist = s.dist in
-  let parent = s.parent in
-  let settled = s.settled in
   let heap = s.heap in
-  let ri = Node.to_int (Spf_tree.root tree) in
-  dist.(ri) <- 0;
-  Radix_queue.push heap ~key:0 ~tie:(-1) ri;
-  let slot = s.slot in
-  while Radix_queue.pop_min_into heap slot do
-    let w = slot.Radix_queue.key and i = slot.Radix_queue.value in
-    if not settled.(i) then begin
-      settled.(i) <- true;
-      for k = out_off.(i) to out_off.(i + 1) - 1 do
-        let lid = out_link_ids.(k) in
-        let ew = weights.(lid) in
-        let j = out_dst.(k) in
-        if ew >= 0 && not settled.(j) then begin
-          let w' = w + ew in
-          if w' < dist.(j) then begin
-            dist.(j) <- w';
-            parent.(j) <- lid;
-            Radix_queue.push heap ~key:w' ~tie:lid j
-          end
-          else if w' = dist.(j) && lid < parent.(j) then begin
-            (* Fully tied: keep the lower arriving link id so the tree
-               is independent of queue internals. *)
-            parent.(j) <- lid;
-            Radix_queue.push heap ~key:w' ~tie:lid j
-          end
-        end
-      done
-    end
-  done;
-  (* Decode composite weights back into routing units and hop counts,
-     overwriting every entry: unreached nodes go back to [max_int]/[None]. *)
+  Node_heap.reset heap n;
   for i = 0 to n - 1 do
-    let d = dist.(i) in
-    units.(i) <- composite_units d;
-    hops.(i) <- composite_hops d;
-    tparent.(i) <- (if parent.(i) < 0 then None else s.some_link.(parent.(i)))
+    comp.(i) <- max_int;
+    parent.(i) <- -1
+  done;
+  let ri = Node.to_int (Spf_tree.root tree) in
+  comp.(ri) <- 0;
+  Node_heap.push heap ri ~key:0;
+  while not (Node_heap.is_empty heap) do
+    let i = Node_heap.pop_min heap in
+    let w = comp.(i) in
+    for k = out_off.(i) to out_off.(i + 1) - 1 do
+      let lid = out_link_ids.(k) in
+      let ew = weights.(lid) in
+      if ew >= 0 then begin
+        let j = out_dst.(k) in
+        let w' = w + ew in
+        let wj = comp.(j) in
+        if w' < wj then begin
+          comp.(j) <- w';
+          parent.(j) <- lid;
+          Node_heap.push heap j ~key:w'
+        end
+        else if w' = wj && lid < parent.(j) then parent.(j) <- lid
+      end
+    done
   done
 [@@hot_path]
 
 let compute_flat_s s g ~weights root =
-  let n = Graph.node_count g in
-  let tree =
-    Spf_tree.make ~graph:g ~root ~parent:(Array.make n None)
-      ~dist:(Array.make n max_int) ~hops:(Array.make n max_int)
-  in
+  let tree = Spf_tree.make ~graph:g ~root in
   compute_into s g ~weights tree;
   tree
 

@@ -7,8 +7,10 @@ open! Import
     (positive integers).  The SPF algorithm is shared by every metric —
     D-SPF, HN-SPF and min-hop differ only in the costs they feed in (§2.2).
 
-    {b Tie-breaking.}  Equal-cost paths are broken toward fewer hops and
-    then lower link ids, making route computation fully deterministic.
+    {b Tie-breaking.}  Equal-cost paths are broken toward fewer hops; among
+    the links arriving at a node on a shortest path, the lowest link id
+    is its parent.  The tree is therefore a pure function of the costs,
+    independent of the order the queue settles nodes in.
 
     {b Hot path.}  Internally every computation runs over the graph's flat
     (CSR) adjacency and a per-link table of memoized composite edge weights
@@ -59,8 +61,7 @@ val compute_weights_into :
 val cost_weight : int -> int
 (** The composite weight {!compute_weights} stores for one enabled link of
     the given cost.  A one-link path's
-    composite distance is its weight, so [composite_units (cost_weight c)]
-    is [c].  Allocation-free.
+    composite distance is its weight.  Allocation-free.
     @raise Invalid_argument if the cost is outside
     [\[1, max_link_cost\]]. *)
 
@@ -70,10 +71,10 @@ val compute_flat : Graph.t -> weights:int array -> Node.t -> Spf_tree.t
     [compute_flat g ~weights:(compute_weights ...) root]. *)
 
 type scratch
-(** Reusable work arrays (settled flags, composite distances, parent link
-    ids, a cache of [Some link] values, the monotone {!Radix_queue}) for
-    the inner loop.  Owned by one domain at a time; resizes itself to
-    whatever graph it is used on. *)
+(** Reusable work state for the inner loop: the {!Node_heap}, nothing
+    else (distances and parents are computed straight into the tree).
+    Owned by one domain at a time; resizes itself to whatever graph it is
+    used on. *)
 
 val scratch : unit -> scratch
 
@@ -86,35 +87,19 @@ val compute_flat_s :
 val compute_into :
   scratch -> Graph.t -> weights:int array -> Spf_tree.t -> unit
 (** [compute_into s g ~weights tree] recomputes [tree] from scratch under
-    [weights], rooted where it was, overwriting its distances, hop counts
+    [weights], rooted where it was, overwriting its composite distances
     and parent links in place: afterwards it is {!Spf_tree.equal} to
     [compute_flat_s s g ~weights (Spf_tree.root tree)], whatever it held
-    before.  Allocation-free once the scratch has grown to the graph
-    (parent links come from the scratch's [Some link] cache).  Every
-    holder of [tree] sees the new values.
+    before.  Dijkstra runs directly on the tree's composite-distance and
+    parent columns, so this is allocation-free once the scratch's heap
+    has grown to the graph.  Every holder of [tree] sees the new
+    values.
     @raise Invalid_argument if [tree] is not sized for [g]. *)
 
 val source_chunk : sources:int -> domains:int -> int
 (** Chunk size for fanning [sources] single-source computations over
     [domains] domains — several sources per visit to the pool's shared
     counter, small enough to balance uneven work. *)
-
-val composite : dist:int -> hops:int -> int
-(** Re-encode a tree's per-node [dist] (routing units) and [hops] into the
-    composite distance the inner loop compared.  [max_int] maps to
-    [max_int].  Used by {!Spf_engine} to reason about
-    whether a weight change can affect a tree. *)
-
-val composite_units : int -> int
-(** Inverse of {!composite}, first half: composite distance back to
-    routing units ([max_int] maps to [max_int]).  Used by the repair path
-    to re-decode patched distances exactly as {!compute_flat} decodes
-    fresh ones; the two halves return unboxed ints, so the repair resettle
-    loop re-decodes per popped node without allocating a pair. *)
-
-val composite_hops : int -> int
-(** Inverse of {!composite}, second half: composite distance back to the
-    hop count ([max_int] maps to [max_int]). *)
 
 val all_pairs :
   ?enabled:(Link.id -> bool) ->

@@ -3,28 +3,30 @@ open! Import
 type t = {
   owner : Node.t;
   graph : Graph.t;
-  hops : Link.id option array;
+  hops : int array; (* first-hop link id, -1 for none *)
   stamp : int array; (* hops.(v) is current when stamp.(v) = epoch *)
   mutable epoch : int;
 }
 
 let create graph ~owner =
   let n = Graph.node_count graph in
-  { owner; graph; hops = Array.make n None; stamp = Array.make n 0; epoch = 0 }
+  { owner; graph; hops = Array.make n (-1); stamp = Array.make n 0; epoch = 0 }
 
 (* The first hop toward [v] is its root-child ancestor's parent link.
    Climbing from [v] memoises every node passed, so a whole refresh climbs
-   each tree edge once.  The hop stored is the tree's own [Some link]
-   value, never a fresh box. *)
+   each tree edge once. *)
 let rec first_hop t parent root v =
   if t.stamp.(v) = t.epoch then t.hops.(v)
   else begin
+    let p = parent.(v) in
     let hop =
-      match parent.(v) with
-      | None -> None
-      | Some lid as p ->
-        let u = Node.to_int (Graph.link t.graph lid).Link.src in
+      if p < 0 then -1
+      else begin
+        let u =
+          Node.to_int (Graph.link t.graph (Link.id_of_int p)).Link.src
+        in
         if u = root then p else first_hop t parent root u
+      end
     in
     t.hops.(v) <- hop;
     t.stamp.(v) <- t.epoch;
@@ -47,10 +49,12 @@ let of_tree tree =
 
 let owner t = t.owner
 
-let next_hop t dst = Option.map (Graph.link t.graph) t.hops.(Node.to_int dst)
+let next_hop t dst =
+  let h = t.hops.(Node.to_int dst) in
+  if h < 0 then None else Some (Graph.link t.graph (Link.id_of_int h))
 
 let reachable_count t =
-  Array.fold_left (fun acc h -> if Option.is_some h then acc + 1 else acc) 0 t.hops
+  Array.fold_left (fun acc h -> if h >= 0 then acc + 1 else acc) 0 t.hops
 
 type trace =
   | Arrived of Link.t list

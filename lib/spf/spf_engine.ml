@@ -2,11 +2,12 @@ open! Import
 
 (* The engine owns one shortest-path tree per source and keeps the set
    consistent with the latest link costs at minimal cost.  The key fact it
-   leans on: with (weight, arriving-link-id) heap priorities — globally
-   unique — and lowest-id tie-breaking, {!Dijkstra.compute_flat} is a pure
-   function of the weight table.  Every node's final distance is the true
-   shortest composite distance and its parent is the lowest-id link
-   achieving it, independent of visit order.  So the engine can diff the
+   leans on: {!Dijkstra.compute_flat} is a pure function of the weight
+   table.  Every node's final distance is the true shortest composite
+   distance and its parent is the lowest-id enabled in-link achieving it,
+   independent of the order the heap settles nodes in (every composite
+   edge weight is at least 257, so each achieving predecessor settles
+   strictly before the node it reaches).  So the engine can diff the
    memoized weight table between refreshes and {e prove} most trees
    untouched:
 
@@ -209,18 +210,15 @@ let affected t tree =
     let lid = t.ch_link.(!c) in
     let old_w = t.ch_old.(!c) and new_w = t.ch_new.(!c) in
     let l = Graph.link g (Link.id_of_int lid) in
-    let src = l.Link.src and dst = l.Link.dst in
+    let src = Node.to_int l.Link.src and dst = Node.to_int l.Link.dst in
     let decrease = new_w >= 0 && (old_w < 0 || new_w < old_w) in
     hit :=
       if decrease then
-        Spf_tree.reached tree src
-        && ((not (Spf_tree.reached tree dst))
-           || Dijkstra.composite ~dist:(Spf_tree.dist tree src)
-                ~hops:(Spf_tree.hops tree src)
-              + new_w
-              <= Dijkstra.composite ~dist:(Spf_tree.dist tree dst)
-                   ~hops:(Spf_tree.hops tree dst))
-      else Spf_tree.parent_id tree (Node.to_int dst) = lid;
+        (* An unreached [dst] has [max_int], which every finite sum is
+           below. *)
+        let dsrc = Spf_tree.comp_i tree src in
+        dsrc <> max_int && dsrc + new_w <= Spf_tree.comp_i tree dst
+      else Spf_tree.parent_id tree dst = lid;
     incr c
   done;
   !hit
@@ -236,7 +234,8 @@ let[@inline] push_todo t i =
 
 (* Change path (floods happened): [w] is the new table, [old] the
    previous one, and their diff is staged in the change columns.  Swap
-   the tables and either sweep every wanted source or fall back to the
+   the tables and either sweep every wanted source (dropping unwanted
+   trees, which nothing would bring up to date) or fall back to the
    proof-driven repair/recompute split.  Existing trees are recomputed or
    repaired in place, so with every wanted tree present this allocates
    nothing. *)
@@ -250,7 +249,7 @@ let refresh_changed t ~wanted ~w ~old =
   then begin
     t.stats.full_sweeps <- t.stats.full_sweeps + 1;
     for i = 0 to n - 1 do
-      if wanted_at wanted i then push_todo t i
+      if wanted_at wanted i then push_todo t i else t.trees.(i) <- None
     done
   end
   else

@@ -4,7 +4,7 @@ open! Import
 
     Given a tree that was exact under the previous weight table and the
     per-link weight changes, {!repair_staged} patches the tree's
-    distances, hop counts and parent links so that it is {b bit-identical}
+    composite distances and parent links so that it is {b bit-identical}
     to [Dijkstra.compute_flat] from scratch under the new table — in time
     proportional to the part of the tree that actually changes, not the
     graph.
@@ -25,18 +25,20 @@ open! Import
       link whose source is intact offers its destination a shortcut, and
       an exact tie with a lower link id patches the parent pointer alone
       (distances downstream are untouched by a parent swap).
-    + {b Re-settle}: a monotone Dijkstra loop over the {!Radix_queue}
-      settles the frontier outward, patching the tree at each settle with
-      the same decode as a fresh computation.  Touched nodes that never
-      re-settle are exactly the ones the changes disconnected.
+    + {b Re-settle}: a monotone Dijkstra loop over the {!Node_heap}
+      settles the frontier outward, writing candidates straight into the
+      tree's columns as a fresh computation does.  Invalidated nodes that
+      are never re-offered a path are exactly the ones the changes
+      disconnected; they keep the unreached entries written when they
+      were invalidated.
 
     A tree untouched by the changes costs nothing here — but callers
     ({!Spf_engine}) should use their cheap per-tree proof first and hand
     over only trees that may actually be affected. *)
 
 type scratch
-(** Epoch-stamped work arrays plus the monotone queue: repairs never pay
-    an O(n) clear, only O(touched).  Owned by one domain at a time;
+(** Epoch-stamped work arrays plus the node heap: repairs never pay an
+    O(n) clear, only O(touched).  Owned by one domain at a time;
     resizes itself to whatever graph it is used on. *)
 
 val scratch : unit -> scratch

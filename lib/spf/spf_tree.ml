@@ -1,55 +1,68 @@
 open! Import
 
+(* A tree is two int columns indexed by node id: the composite distance
+   ([units * hop_scale + hops], [max_int] = unreached) and the arriving
+   link id (-1 = none).  [Dijkstra] and [Spf_repair] run on these very
+   columns, so a recompute or repair writes nothing else. *)
 type t = {
   graph : Graph.t;
   root : Node.t;
-  parent : Link.id option array;
-  dist : int array;
-  hops : int array;
+  comp : int array;
+  parent : int array;
 }
 
-let make ~graph ~root ~parent ~dist ~hops =
-  { graph; root; parent; dist; hops }
+let hop_scale = 256
+
+let composite_units c = if c = max_int then max_int else c / hop_scale
+
+let composite_hops c = if c = max_int then max_int else c land (hop_scale - 1)
+
+let make ~graph ~root =
+  let n = Graph.node_count graph in
+  { graph; root; comp = Array.make n max_int; parent = Array.make n (-1) }
 
 let graph t = t.graph
 
 let root t = t.root
 
-let reached t n = t.dist.(Node.to_int n) <> max_int
+let reached t n = t.comp.(Node.to_int n) <> max_int
 
-let dist t n = t.dist.(Node.to_int n)
+let dist t n = composite_units t.comp.(Node.to_int n)
 
-let hops t n = t.hops.(Node.to_int n)
+let hops t n = composite_hops t.comp.(Node.to_int n)
+
+let link_of t lid = Graph.link t.graph (Link.id_of_int lid)
 
 let parent_link t n =
-  Option.map (Graph.link t.graph) t.parent.(Node.to_int n)
+  let p = t.parent.(Node.to_int n) in
+  if p < 0 then None else Some (link_of t p)
 
 (* Raw int-indexed accessors for hot loops: no option or Node.t boxing. *)
 
-let reached_i t i = t.dist.(i) <> max_int
+let reached_i t i = t.comp.(i) <> max_int
 
-let hops_i t i = t.hops.(i)
+let hops_i t i = composite_hops t.comp.(i)
 
-let parent_id t i =
-  match t.parent.(i) with None -> -1 | Some lid -> Link.id_to_int lid
+let comp_i t i = t.comp.(i)
 
-(* The tree's own arrays, one accessor each: a tuple return would box,
+let parent_id t i = t.parent.(i)
+
+(* The tree's own columns, one accessor each: a tuple return would box,
    which the repair path cannot afford on its steady path. *)
 
+let unsafe_comp t = t.comp
+
 let unsafe_parent t = t.parent
-
-let unsafe_dist t = t.dist
-
-let unsafe_hops t = t.hops
 
 let path t dst =
   if not (reached t dst) then invalid_arg "Spf_tree.path: unreachable";
   let rec climb n acc =
-    match t.parent.(Node.to_int n) with
-    | None -> acc
-    | Some lid ->
-      let l = Graph.link t.graph lid in
+    let p = t.parent.(Node.to_int n) in
+    if p < 0 then acc
+    else begin
+      let l = link_of t p in
       climb l.Link.src (l :: acc)
+    end
   in
   climb dst []
 
@@ -57,11 +70,12 @@ let next_hop t dst =
   if Node.equal dst t.root || not (reached t dst) then None
   else begin
     let rec climb n =
-      match t.parent.(Node.to_int n) with
-      | None -> None
-      | Some lid ->
-        let l = Graph.link t.graph lid in
+      let p = t.parent.(Node.to_int n) in
+      if p < 0 then None
+      else begin
+        let l = link_of t p in
         if Node.equal l.Link.src t.root then Some l else climb l.Link.src
+      end
     in
     climb dst
   end
@@ -69,12 +83,10 @@ let next_hop t dst =
 let uses_link t dst lid =
   reached t dst
   &&
+  let target = Link.id_to_int lid in
   let rec climb n =
-    match t.parent.(Node.to_int n) with
-    | None -> false
-    | Some plid ->
-      Link.id_equal plid lid
-      || climb (Graph.link t.graph plid).Link.src
+    let p = t.parent.(Node.to_int n) in
+    p >= 0 && (p = target || climb (link_of t p).Link.src)
   in
   climb dst
 
@@ -90,17 +102,4 @@ let destinations_via t lid =
   |> List.rev
 
 let equal a b =
-  Node.equal a.root b.root
-  && a.dist = b.dist && a.hops = b.hops
-  && Array.length a.parent = Array.length b.parent
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i p ->
-           match (p, b.parent.(i)) with
-           | None, None -> ()
-           | Some x, Some y when Link.id_equal x y -> ()
-           | _ -> ok := false)
-         a.parent;
-       !ok
-     end
+  Node.equal a.root b.root && a.comp = b.comp && a.parent = b.parent

@@ -14,16 +14,20 @@ open! Import
 
 type t
 
-val make :
-  graph:Graph.t ->
-  root:Node.t ->
-  parent:Link.id option array ->
-  dist:int array ->
-  hops:int array ->
-  t
-(** Arrays are indexed by node id; [parent.(n)] is the link over which the
-    path enters [n] ([None] for the root and unreachable nodes); [dist] is
-    in routing units with [max_int] for unreachable. *)
+val hop_scale : int
+(** A tree stores each node's distance as one composite int,
+    [units * hop_scale + hops] ([max_int] when unreached): the quantity
+    [Dijkstra] compares, so that equal-cost paths tie-break toward fewer
+    hops.  Paths stay below [hop_scale] hops. *)
+
+val composite_units : int -> int
+(** The routing units of a composite distance or link weight ([max_int]
+    maps to [max_int]): [composite_units (Dijkstra.cost_weight c)] is
+    [c]. *)
+
+val make : graph:Graph.t -> root:Node.t -> t
+(** A tree rooted at the node in which every node is unreached, ready
+    for [Dijkstra.compute_into] to fill. *)
 
 val graph : t -> Graph.t
 
@@ -49,20 +53,22 @@ val reached_i : t -> int -> bool
 val hops_i : t -> int -> int
 (** [hops_i t i = hops t (Node.of_int i)]. *)
 
+val comp_i : t -> int -> int
+(** The composite distance of node [i] ([max_int] when unreached). *)
+
 val parent_id : t -> int -> int
 (** The link id over which the path enters node [i], or [-1] for the root
     and unreachable nodes. *)
 
-val unsafe_parent : t -> Link.id option array
-(** The tree's own parent array, exposed (with {!unsafe_dist} and
-    {!unsafe_hops}) so {!Spf_repair} and [Dijkstra.compute_into] can
+val unsafe_comp : t -> int array
+(** The tree's own composite-distance column, exposed (with
+    {!unsafe_parent}) so {!Spf_repair} and [Dijkstra.compute_into] can
     update it in place.  Mutating it silently changes what every holder
     of the tree sees; only those two, which restore the
     [Dijkstra.compute] invariant before returning, may write. *)
 
-val unsafe_dist : t -> int array
-
-val unsafe_hops : t -> int array
+val unsafe_parent : t -> int array
+(** The tree's own parent column: arriving link ids, [-1] for none. *)
 
 val path : t -> Node.t -> Link.t list
 (** Links from the root to the destination, in forwarding order; [[]] for

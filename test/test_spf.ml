@@ -1,100 +1,13 @@
 (* Unit and property tests for the routing_spf library. *)
 
 open Routing_topology
-module Rq = Routing_spf.Radix_queue
+module Node_heap = Routing_spf.Node_heap
 module Dijkstra = Routing_spf.Dijkstra
 module Spf_tree = Routing_spf.Spf_tree
 module Spf_repair = Routing_spf.Spf_repair
 module Routing_table = Routing_spf.Routing_table
+module Spf_engine = Routing_spf.Spf_engine
 module Rng = Routing_stats.Rng
-
-(* --- radix queue --- *)
-
-let test_radix_ordering () =
-  let q = Rq.create () in
-  List.iter
-    (fun (k, t) -> Rq.push q ~key:k ~tie:t (k * 10))
-    [ (5, 0); (1, 2); (1, 1); (3, 0); (2, 0) ];
-  Alcotest.(check int) "length" 5 (Rq.length q);
-  let order = List.init 5 (fun _ -> Option.get (Rq.pop_min q)) in
-  Alcotest.(check bool) "lexicographic (key, tie)" true
-    (order = [ (1, 1, 10); (1, 2, 10); (2, 0, 20); (3, 0, 30); (5, 0, 50) ]);
-  Alcotest.(check bool) "empty" true (Rq.is_empty q);
-  Alcotest.(check int) "floor follows pops" 5 (Rq.last q)
-
-let test_radix_rejects_non_monotone () =
-  let q = Rq.create () in
-  Rq.push q ~key:10 ~tie:0 1;
-  (match Rq.pop_min q with
-  | Some (10, 0, 1) -> ()
-  | _ -> Alcotest.fail "pop should return the pushed entry");
-  Rq.push q ~key:10 ~tie:1 2;
-  (* 10 equals the floor: allowed.  9 is below it: rejected. *)
-  Alcotest.check_raises "below the floor"
-    (Invalid_argument "Radix_queue.push: key 9 below the monotone floor 10")
-    (fun () -> Rq.push q ~key:9 ~tie:0 3)
-
-let test_radix_clear () =
-  let q = Rq.create () in
-  Rq.push q ~key:7 ~tie:0 0;
-  ignore (Rq.pop_min q);
-  Rq.clear q;
-  Alcotest.(check bool) "cleared" true (Rq.is_empty q);
-  Alcotest.(check int) "floor reset" 0 (Rq.last q);
-  (* After clear the floor is gone, so small keys are admissible again. *)
-  Rq.push q ~key:1 ~tie:0 9;
-  Alcotest.(check bool) "reusable" true (Rq.pop_min q = Some (1, 0, 9))
-
-(* The queue only promises anything for monotone sequences (every push at
-   or above the last popped key) — exactly what Dijkstra and the repair
-   loop produce.  Against a model list kept sorted by (key, tie), random
-   interleavings of pushes and pops must agree pop for pop.  Ties are made
-   unique so the comparison is exact, not set-valued. *)
-let prop_radix_matches_sorted_model =
-  QCheck2.Test.make ~name:"radix queue = sorted-list model (monotone ops)"
-    ~count:300
-    QCheck2.Gen.(
-      list_size (int_range 0 300)
-        (pair (option (int_range 0 2000)) (int_range 0 9)))
-    (fun ops ->
-      let q = Rq.create () in
-      let model = ref [] in
-      let pop_model () =
-        match !model with
-        | [] -> None
-        | e :: rest ->
-          model := rest;
-          Some e
-      in
-      let agree () =
-        match (Rq.pop_min q, pop_model ()) with
-        | None, None -> Some None
-        | Some e, Some e' when e = e' -> Some (Some e)
-        | _ -> None
-      in
-      let last = ref 0 in
-      let ok = ref true in
-      List.iteri
-        (fun i (op, r) ->
-          match op with
-          | Some delta ->
-            let key = !last + delta and tie = (r * 1_000_000) + i in
-            Rq.push q ~key ~tie i;
-            model := List.merge compare !model [ (key, tie, i) ]
-          | None -> (
-            match agree () with
-            | Some (Some (k, _, _)) -> last := k
-            | Some None -> ()
-            | None -> ok := false))
-        ops;
-      let rec drain () =
-        match agree () with
-        | Some (Some _) -> drain ()
-        | Some None -> ()
-        | None -> ok := false
-      in
-      drain ();
-      !ok)
 
 (* --- helpers --- *)
 
@@ -517,15 +430,250 @@ let prop_refresh_matches_of_tree =
       done;
       !ok)
 
+(* --- Node heap --- *)
+
+(* Random pushes (inserts and decrease-keys), pops and drains against a
+   model that keeps each queued node's key.  Keys come from a narrow range,
+   so ties are common; equal keys may pop in any order, so each pop must
+   return a node the model holds at the model's minimum key.  A drain
+   empties the heap, and later pushes reuse the nodes it popped; now and
+   then the heap is reset to the same or a larger size, which drops
+   everything queued. *)
+let prop_node_heap_matches_model =
+  QCheck2.Test.make ~name:"node heap = keyed model" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 40)
+        (list_size (int_range 0 300)
+           (triple (int_range 0 19) (int_range 0 1000) (int_range 0 30))))
+    (fun (n0, ops) ->
+      let n = ref n0 in
+      let h = Node_heap.create () in
+      Node_heap.reset h !n;
+      let model = ref (Array.make !n (-1)) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let pop () =
+        let m =
+          Array.fold_left
+            (fun m k -> if k >= 0 && k < m then k else m)
+            max_int !model
+        in
+        check (Node_heap.is_empty h = (m = max_int));
+        if m <> max_int then begin
+          let v = Node_heap.pop_min h in
+          check (!model.(v) = m);
+          !model.(v) <- -1
+        end
+      in
+      let drain () =
+        while not (Node_heap.is_empty h) do
+          pop ()
+        done;
+        check (Array.for_all (fun k -> k < 0) !model)
+      in
+      List.iter
+        (fun (tag, r, key) ->
+          match tag with
+          | t when t < 11 ->
+            let v = r mod !n in
+            Node_heap.push h v ~key;
+            let k = !model.(v) in
+            if k < 0 || key < k then !model.(v) <- key
+          | t when t < 18 -> pop ()
+          | 18 -> drain ()
+          | _ ->
+            n := !n + (r mod 8);
+            Node_heap.reset h !n;
+            model := Array.make !n (-1))
+        ops;
+      drain ();
+      !ok)
+
+(* --- Trees as a declarative fixpoint --- *)
+
+(* What a tree must be, computed without a priority queue: Bellman-Ford
+   over the composite weights until nothing relaxes gives every node's
+   composite distance, and its parent is the lowest-id enabled in-link
+   from a reached node that achieves that distance.  Every way the
+   library builds or updates a tree must land on exactly this, whatever
+   order its heap settles equal keys in. *)
+let fixpoint g ~weights root =
+  let n = Graph.node_count g in
+  let dist = Array.make n max_int in
+  dist.(Node.to_int root) <- 0;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Graph.iter_links g (fun l ->
+        let w = weights.(Link.id_to_int l.Link.id) in
+        let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
+        if w >= 0 && dist.(u) <> max_int && dist.(u) + w < dist.(v) then begin
+          dist.(v) <- dist.(u) + w;
+          changed := true
+        end)
+  done;
+  let parent = Array.make n (-1) in
+  Graph.iter_links g (fun l ->
+      let lid = Link.id_to_int l.Link.id in
+      let w = weights.(lid) in
+      let u = Node.to_int l.Link.src and v = Node.to_int l.Link.dst in
+      if
+        w >= 0 && dist.(u) <> max_int
+        && dist.(u) + w = dist.(v)
+        && (parent.(v) < 0 || lid < parent.(v))
+      then parent.(v) <- lid);
+  (dist, parent)
+
+let matches_fixpoint g ~weights tree =
+  let dist, parent = fixpoint g ~weights (Spf_tree.root tree) in
+  let ok = ref true in
+  for v = 0 to Graph.node_count g - 1 do
+    if
+      Spf_tree.comp_i tree v <> dist.(v)
+      || Spf_tree.parent_id tree v <> parent.(v)
+    then ok := false
+  done;
+  !ok
+
+(* Dense ties: every enabled link costs 1, 2 or 3.  About one link in six
+   is disabled. *)
+let tied_weights rng g =
+  Array.init (Graph.link_count g) (fun _ ->
+      if Rng.int rng 6 = 0 then -1
+      else Dijkstra.cost_weight (1 + Rng.int rng 3))
+
+let prop_compute_into_fixpoint =
+  QCheck2.Test.make ~name:"compute_into = fixpoint" ~count:60
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Rng.create (seed + 101) in
+      let s = Dijkstra.scratch () in
+      let trees =
+        Array.init (Graph.node_count g) (fun i ->
+            Dijkstra.compute_flat_s s g ~weights:(tied_weights rng g)
+              (Node.of_int i))
+      in
+      let ok = ref true in
+      for _ = 1 to 6 do
+        let weights = tied_weights rng g in
+        Array.iter
+          (fun tree ->
+            Dijkstra.compute_into s g ~weights tree;
+            if not (matches_fixpoint g ~weights tree) then ok := false)
+          trees
+      done;
+      !ok)
+
+let prop_repair_fixpoint =
+  QCheck2.Test.make ~name:"repair_staged = fixpoint" ~count:60
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let nl = Graph.link_count g in
+      let rng = Rng.create (seed + 202) in
+      let s = Spf_repair.scratch () in
+      let weights = tied_weights rng g in
+      let root = Node.of_int (Rng.int rng (Graph.node_count g)) in
+      let tree = Dijkstra.compute_flat g ~weights root in
+      let ok = ref true in
+      for _ = 1 to 20 do
+        (* One to five links move together: cost changes, outages and
+           recoveries, each link staged once with its net change. *)
+        let next = Array.copy weights in
+        for _ = 0 to Rng.int rng 5 do
+          let i = Rng.int rng nl in
+          next.(i) <-
+            (if Rng.int rng 4 = 0 then -1
+             else Dijkstra.cost_weight (1 + Rng.int rng 3))
+        done;
+        Array.iteri
+          (fun i w ->
+            if w <> weights.(i) then begin
+              Spf_repair.stage s (Link.id_of_int i) ~old_w:weights.(i) ~new_w:w;
+              weights.(i) <- w
+            end)
+          next;
+        ignore (Spf_repair.repair_staged s g ~tree ~weights);
+        if not (matches_fixpoint g ~weights tree) then ok := false
+      done;
+      !ok)
+
+(* Drive an engine through [tables], checking every served tree after
+   each refresh, and return how many refreshes took the full-sweep
+   branch. *)
+let engine_sweeps_matching_fixpoint g tables =
+  let engine = Spf_engine.create g in
+  let ok = ref true in
+  List.iter
+    (fun weights ->
+      Spf_engine.refresh engine
+        ~enabled:(fun l -> weights.(Link.id_to_int l) >= 0)
+        ~cost:(fun l ->
+          let w = weights.(Link.id_to_int l) in
+          if w >= 0 then Spf_tree.composite_units w else 1);
+      Graph.iter_nodes g (fun node ->
+          if not (matches_fixpoint g ~weights (Spf_engine.tree engine node))
+          then ok := false))
+    tables;
+  if !ok then Some (Spf_engine.stats engine).Spf_engine.full_sweeps else None
+
+(* A table sequence from [first], each table made from the previous one
+   by [step]. *)
+let table_sequence first ~rounds step =
+  let rec go acc k =
+    if k = 0 then List.rev acc else go (step (List.hd acc) :: acc) (k - 1)
+  in
+  go [ first ] rounds
+
+(* Another of the three tied costs than [w]'s, or a disabled link
+   enabled. *)
+let other_cost rng w =
+  if w < 0 then Dijkstra.cost_weight (1 + Rng.int rng 3)
+  else
+    Dijkstra.cost_weight
+      (1 + ((Spf_tree.composite_units w + Rng.int rng 2) mod 3))
+
+let prop_engine_sweep_fixpoint =
+  QCheck2.Test.make ~name:"engine full sweep = fixpoint" ~count:40
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Rng.create (seed + 303) in
+      (* Every link changes in every table, far over the full-sweep
+         threshold. *)
+      let tables =
+        table_sequence (tied_weights rng g) ~rounds:6
+          (Array.map (fun w ->
+               if w >= 0 && Rng.int rng 6 = 0 then -1 else other_cost rng w))
+      in
+      engine_sweeps_matching_fixpoint g tables = Some (List.length tables))
+
+let prop_engine_repair_fixpoint =
+  QCheck2.Test.make ~name:"engine repair path = fixpoint" ~count:40
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let nl = Graph.link_count g in
+      let rng = Rng.create (seed + 404) in
+      (* One link changes per table; the graphs have at least eight links,
+         so only the first refresh sweeps and every later one proves,
+         reuses and repairs. *)
+      let tables =
+        table_sequence (tied_weights rng g) ~rounds:12 (fun prev ->
+            let w = Array.copy prev in
+            let i = Rng.int rng nl in
+            w.(i) <-
+              (if w.(i) >= 0 && Rng.int rng 4 = 0 then -1
+               else other_cost rng w.(i));
+            w)
+      in
+      engine_sweeps_matching_fixpoint g tables = Some 1)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing_spf"
-    [ ( "radix_queue",
-        [ Alcotest.test_case "ordering" `Quick test_radix_ordering;
-          Alcotest.test_case "monotone floor" `Quick
-            test_radix_rejects_non_monotone;
-          Alcotest.test_case "clear" `Quick test_radix_clear ]
-        @ qsuite [ prop_radix_matches_sorted_model ] );
+    [ ("node_heap", qsuite [ prop_node_heap_matches_model ]);
       ( "dijkstra",
         [ Alcotest.test_case "direct wins" `Quick test_dijkstra_direct_wins;
           Alcotest.test_case "reroutes" `Quick
@@ -552,4 +700,10 @@ let () =
       ( "routing_table",
         [ Alcotest.test_case "traces" `Quick test_routing_table_traces ]
         @ qsuite [ prop_consistent_tables_are_loop_free ] );
-      ("in_place_table", qsuite [ prop_refresh_matches_of_tree ]) ]
+      ("in_place_table", qsuite [ prop_refresh_matches_of_tree ]);
+      ( "fixpoint",
+        qsuite
+          [ prop_compute_into_fixpoint;
+            prop_repair_fixpoint;
+            prop_engine_sweep_fixpoint;
+            prop_engine_repair_fixpoint ] ) ]

@@ -285,6 +285,41 @@ let test_parallel_repair_matches_sequential () =
     (Printf.sprintf "worker domains ran spf_repair chunks (%d)" !worker_chunks)
     true (!worker_chunks > 0)
 
+(* A full sweep recomputes only the wanted sources, so it must drop the
+   others' trees: kept, they would be served stale by [tree] and later
+   proved "unaffected" against costs they were never computed on.  On the
+   ARPANET: want the even nodes, fetch node 1's tree on demand, then move
+   every other link's cost (half the links, a full sweep). *)
+let test_full_sweep_drops_unwanted_trees () =
+  let g = Arpanet.topology () in
+  let nl = Graph.link_count g in
+  let costs = Array.make nl 30 in
+  let cost l = costs.(Link.id_to_int l) in
+  let wanted node = Node.to_int node mod 2 = 0 in
+  let engine = Spf_engine.create g in
+  Spf_engine.refresh ~wanted engine ~cost;
+  ignore (Spf_engine.tree engine (Node.of_int 1));
+  for i = 0 to nl - 1 do
+    if i mod 2 = 0 then costs.(i) <- 30 + (i mod 7) + 1
+  done;
+  let sweeps = (Spf_engine.stats engine).Spf_engine.full_sweeps in
+  Spf_engine.refresh ~wanted engine ~cost;
+  Alcotest.(check int) "the refresh was a full sweep" (sweeps + 1)
+    (Spf_engine.stats engine).Spf_engine.full_sweeps;
+  let fresh node = Dijkstra.compute g ~cost node in
+  Alcotest.(check bool) "unwanted tree is current" true
+    (Spf_tree.equal (Spf_engine.tree engine (Node.of_int 1))
+       (fresh (Node.of_int 1)));
+  (* A later small change goes through the proof: every tree it serves,
+     wanted or not, matches a recompute. *)
+  costs.(1) <- 90;
+  Spf_engine.refresh ~wanted engine ~cost;
+  Graph.iter_nodes g (fun node ->
+      Alcotest.(check bool)
+        (Printf.sprintf "tree %d after a small change" (Node.to_int node))
+        true
+        (Spf_tree.equal (Spf_engine.tree engine node) (fresh node)))
+
 let flap_scenario sim =
   let g = Flow_sim.graph sim in
   let some_link i = Link.id_of_int (i mod Graph.link_count g) in
@@ -359,7 +394,9 @@ let () =
             test_parallel_repair_matches_sequential ]
         @ qsuite
             [ prop_engine_incremental_matches_full;
-              prop_engine_batch_deltas_match_full ] );
+              prop_engine_batch_deltas_match_full ]
+        @ [ Alcotest.test_case "full sweep drops unwanted trees" `Quick
+              test_full_sweep_drops_unwanted_trees ] );
       ( "simulator",
         [ Alcotest.test_case "stats independent of domains" `Quick
             test_flow_sim_stats_independent_of_domains;
