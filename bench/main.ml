@@ -1031,19 +1031,70 @@ let floodlat () =
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (bechamel).                                        *)
 
+(* The calling domain's allocation so far, as (minor, major) words.  On
+   OCaml 5 [Gc.quick_stat]'s word counters sync only at collections, so
+   the minor count comes from [Gc.minor_words ()] (the live allocation
+   pointer) and a minor collection first brings the major count up to
+   date, with surviving young words counted as promoted, as OCaml's
+   [major_words] defines them.  Other domains' allocation is not seen:
+   parallel rows count their calling domain only. *)
+let gc_words () =
+  Gc.minor ();
+  let major = (Gc.quick_stat ()).Gc.major_words in
+  (Gc.minor_words (), major)
+
+(* Words [f ()] allocates, less the cost of the two reads around it. *)
+let alloc_words f =
+  let during f =
+    let minor0, major0 = gc_words () in
+    f ();
+    let minor1, major1 = gc_words () in
+    (minor1 -. minor0, major1 -. major0)
+  in
+  let empty_minor, empty_major = during ignore in
+  let minor, major = during f in
+  (minor -. empty_minor, major -. empty_major)
+
+(* Minor and major words one run of a bechamel test allocates, counted
+   over [alloc_runs] runs after one warm-up run.  Bechamel's allocation
+   responders are OLS estimates that read 0 for a Dijkstra allocating
+   hundreds of words per call, so the columns are counted directly. *)
+let alloc_runs = 10
+
+let words_per_run elt =
+  let open Bechamel in
+  let (Test.V { fn; kind; allocate; free }) = Test.Elt.fn elt in
+  let fn = fn `Init in
+  let resource, free =
+    match kind with
+    | Test.Uniq ->
+      let r = allocate () in
+      (Test.Uniq.prj r, fun () -> free r)
+    | Test.Multiple -> invalid_arg "words_per_run: per-run resources"
+  in
+  ignore (Sys.opaque_identity (fn resource));
+  let minor, major =
+    alloc_words (fun () ->
+        for _ = 1 to alloc_runs do
+          ignore (Sys.opaque_identity (fn resource))
+        done)
+  in
+  free ();
+  let per x = x /. float_of_int alloc_runs in
+  (per minor, per major)
+
 (* Run a bechamel test tree and return [(name, (ns, minor words, major
-   words))] rows per run, sorted by name.  The allocation responders ride
-   the same OLS regression as the clock, so every benchmark table and
-   BENCH_*.json record carries the hot path's allocation rate next to its
-   time — the number the zero-allocation steady-state work is graded on. *)
+   words))] rows per run, sorted by name: the clock's OLS estimate from
+   bechamel, then the allocation counted by [words_per_run], so every
+   benchmark table and BENCH_*.json record carries the hot path's
+   allocation rate next to its time — the number the zero-allocation
+   steady-state work is graded on. *)
 let run_benchmarks ~quota_s tests =
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances =
-    Toolkit.Instance.[ monotonic_clock; minor_allocated; major_allocated ]
-  in
+  let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) ~kde:(Some 1000) ()
   in
@@ -1058,12 +1109,16 @@ let run_benchmarks ~quota_s tests =
       results []
   in
   let times = estimates Toolkit.Instance.monotonic_clock in
-  let minors = estimates Toolkit.Instance.minor_allocated in
-  let majors = estimates Toolkit.Instance.major_allocated in
-  let words tbl name = Option.value ~default:0. (List.assoc_opt name tbl) in
+  let words =
+    List.map
+      (fun elt -> (Test.Elt.name elt, words_per_run elt))
+      (Test.elements tests)
+  in
   List.sort compare
     (List.map
-       (fun (name, ns) -> (name, (ns, words minors name, words majors name)))
+       (fun (name, ns) ->
+         let minor, major = List.assoc name words in
+         (name, (ns, minor, major)))
        times)
 
 let humanize ns =
@@ -1071,7 +1126,7 @@ let humanize ns =
   else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
 
-(* Negative OLS estimates (noise around zero) print as a clean 0. *)
+(* Under half a word per run prints as a clean 0. *)
 let humanize_words w =
   if w < 0.5 then "0" else Printf.sprintf "%.0f" w
 
@@ -1397,7 +1452,8 @@ let write_bench_json path ~rev ~domains ~topologies rows =
   let reg = Obs_metrics.create () in
   Obs_metrics.set_meta reg "benchmark" "all-pairs SPF refresh";
   Obs_metrics.set_meta reg "units"
-    "ns / minor words / major words per run (bechamel OLS estimates)";
+    "ns per run (bechamel OLS estimate) / minor words / major words per \
+     run (GC counters)";
   Obs_metrics.set_meta reg "domains" (string_of_int domains);
   stamp_provenance reg ~rev;
   List.iter
@@ -1664,17 +1720,18 @@ let million_flow_rows ~quick () =
          dminor);
   let reps = if quick then 2 else 8 in
   let time_reps f =
-    let s0 = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let s1 = Gc.quick_stat () in
+    (* A float array keeps the elapsed time unboxed, out of the count. *)
+    let dt = [| 0. |] in
+    let minor, major =
+      alloc_words (fun () ->
+          let t0 = Unix.gettimeofday () in
+          for _ = 1 to reps do
+            f ()
+          done;
+          dt.(0) <- Unix.gettimeofday () -. t0)
+    in
     let per x = x /. float_of_int reps in
-    ( per dt,
-      per (s1.Gc.minor_words -. s0.Gc.minor_words),
-      per (s1.Gc.major_words -. s0.Gc.major_words) )
+    (per dt.(0), per minor, per major)
   in
   let seq_s, seq_minor, seq_major = time_reps assign_once in
   (* Parallel pass: first prove it reproduces the sequential bytes (the
@@ -1835,8 +1892,8 @@ let write_sim_json out ~cores ~sweep_src ~rows ~sweep ~million ~knees =
   let reg = Obs_metrics.create () in
   Obs_metrics.set_meta reg "benchmark" "flow-sim hot path + sweep throughput";
   Obs_metrics.set_meta reg "units"
-    "ns / minor words / major words per run (bechamel OLS estimates); sweep \
-     rows are grid points per second";
+    "ns per run (bechamel OLS estimate) / minor words / major words per \
+     run (GC counters); sweep rows are grid points per second";
   (* This box's physical parallelism, recorded so the sweep-throughput
      rows read honestly: with one core, more domains cannot beat one. *)
   Obs_metrics.set_meta reg "cores" (string_of_int cores);

@@ -18,13 +18,11 @@ open! Import
     - [S106] (error) — non-positive periods, negative warmup, or warmup
       consuming every period
 
-    Two further codes belong to the sweep fabric's CLI surface rather
-    than spec files, so they never appear in {!check_file} output:
-    [S107] (error) — a malformed [--shard I/N] argument
-    ({!Sweep_spec.shard_of_string}); [S108] — a [--merge]/[--resume]
-    report problem (error when a merge input is unreadable, undecodable,
-    incomplete or conflicting; warning when a [--resume] target cannot
-    be read back and the run falls back to simulating every point). *)
+    - [S109] (error) — a degenerate [critical_load] ramp
+
+    [S107] and [S108] are retired: they named errors of
+    [arpanet_sweep]'s former shard, merge and resume options, and are
+    not reused. *)
 
 val check_file : string -> Diagnostic.t list * Sweep_spec.t option
 (** Lint one spec file; the spec is present iff it parsed (it may still

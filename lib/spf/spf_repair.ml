@@ -41,6 +41,9 @@ type scratch = {
   mutable ch_old : int array;
   mutable ch_new : int array;
   mutable nch : int;
+  mutable slot : int array;
+      (* link id -> its staged entry; live iff [slot.(l) < nch] and
+         [ch_link.(slot.(l)) = l], so it is never cleared *)
 }
 
 let scratch () =
@@ -52,7 +55,8 @@ let scratch () =
     ch_link = [||];
     ch_old = [||];
     ch_new = [||];
-    nch = 0 }
+    nch = 0;
+    slot = [||] }
 
 (* Kept out of line: the resize path allocates, and inlining it into
    [repair_staged] would put those (cold) sites inside the A0xx-gated
@@ -87,12 +91,28 @@ let[@inline never] grow_changes s =
   s.ch_old <- grow s.ch_old;
   s.ch_new <- grow s.ch_new
 
+let[@inline never] grow_slots s l =
+  let a = Array.make (max (l + 1) (2 * Array.length s.slot)) 0 in
+  Array.blit s.slot 0 a 0 (Array.length s.slot);
+  s.slot <- a
+
+(* A link staged again before the repair folds into its first entry, which
+   then spans the first [old_w] to the latest [new_w]: the phases below
+   read each entry as the link's whole change and would otherwise offer a
+   stale weight. *)
 let stage s lid ~old_w ~new_w =
-  if s.nch = Array.length s.ch_link then grow_changes s;
-  s.ch_link.(s.nch) <- Link.id_to_int lid;
-  s.ch_old.(s.nch) <- old_w;
-  s.ch_new.(s.nch) <- new_w;
-  s.nch <- s.nch + 1
+  let l = Link.id_to_int lid in
+  if l >= Array.length s.slot then grow_slots s l;
+  let c = s.slot.(l) in
+  if c < s.nch && s.ch_link.(c) = l then s.ch_new.(c) <- new_w
+  else begin
+    if s.nch = Array.length s.ch_link then grow_changes s;
+    s.slot.(l) <- s.nch;
+    s.ch_link.(s.nch) <- l;
+    s.ch_old.(s.nch) <- old_w;
+    s.ch_new.(s.nch) <- new_w;
+    s.nch <- s.nch + 1
+  end
 [@@hot_path]
 
 (* Phase 1: invalidate the direct children of worsened parent links.  The

@@ -46,10 +46,12 @@ val scratch : unit -> scratch
 val stage : scratch -> Link.id -> old_w:int -> new_w:int -> unit
 (** Queue one [(link, old_weight, new_weight)] change for the next
     {!repair_staged} on this scratch: every table entry that differs,
-    with any negative weight meaning disabled.  Each link at most once
-    per repair.  Changes are staged in int columns, so callers learning
-    them one link at a time (a PSN applying a routing update, the engine
-    diffing its weight table) build no list. *)
+    with any negative weight meaning disabled.  Staging a link again
+    before the repair folds into its pending change, which then runs from
+    the first [old_w] to the latest [new_w].  Changes are staged in int
+    columns, so callers learning them one link at a time (a PSN applying
+    a routing update, the engine diffing its weight table) build no
+    list. *)
 
 val repair_staged :
   scratch -> Graph.t -> tree:Spf_tree.t -> weights:int array -> int

@@ -60,12 +60,11 @@ let points (spec : Sweep_spec.t) =
   List.rev !acc
 
 (* ---------------------------------------------------------------- *)
-(* Point identity.  A point's hash names the exact work it stands for —
-   scenario *content* (not just its path), metric, scale, seed and the
-   period budget — and deliberately nothing about the grid it sits in,
-   so shard files survive re-sharding and a resumed run survives adding
-   axes to the spec.  MD5 (stdlib [Digest]) is plenty: this is a cache
-   key, not a security boundary. *)
+(* Point identity.  A point's hash, printed with its row in the report,
+   names the exact work the row stands for — scenario *content* (not
+   just its path), metric, scale, seed and the period budget — and
+   nothing about the grid it sits in.  MD5 (stdlib [Digest]) is plenty:
+   this is a content identity, not a security boundary. *)
 
 let hash_version = "arpanet-sweep-point-v1"
 
@@ -103,8 +102,6 @@ type prepared = {
 }
 
 let prepared_points prep = prep.pts
-
-let point_hashes prep = prep.hashes
 
 let builtin_graph name =
   match name with
@@ -207,10 +204,9 @@ let run_point ?tracer prep i =
 (* ---------------------------------------------------------------- *)
 (* Report assembly.  Per-point telemetry registries are a pure function
    of (point index, indicators) — [Measure.export] under a point label —
-   so they are regenerated here rather than carried through shard files
-   or resumes, and merged in point-index order: the report's bytes
-   depend only on which points it covers, never on the domain count,
-   the shard layout, or the order workers finished. *)
+   so they are built here after the run and merged in point-index
+   order: the report's bytes depend only on which points it covers,
+   never on the domain count or the order workers finished. *)
 
 let point_registry p indicators =
   let registry = Obs_metrics.create () in
@@ -251,8 +247,8 @@ let outcome_json o =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* Summary views, computed purely from (spec, outcomes) so merged,
-   sharded and resumed reports carry byte-identical sections. *)
+(* Summary views, computed purely from (spec, outcomes) so they are
+   byte-identical across domain counts. *)
 
 (* Outcomes grouped by (scenario, metric), groups and members both in
    point-index order. *)
@@ -426,9 +422,6 @@ let report_of_outcomes (spec : Sweep_spec.t) outcomes =
     outcomes;
   let rankings = rankings_of_outcomes outcomes in
   let knees = knees_of_outcomes spec outcomes in
-  (* Extra sections ride alongside "points"; [stored_points] reads only
-     "points", so shards, merges and resumes are oblivious to them and
-     every report path regenerates them from the same outcomes. *)
   let json =
     Obs_metrics.to_json master
       ~extra:
@@ -446,45 +439,21 @@ let report_of_outcomes (spec : Sweep_spec.t) outcomes =
 (* ---------------------------------------------------------------- *)
 
 let run_prepared ?(domains = Domain_pool.default_size ())
-    ?(tracer = Tracer.null) ?subset ?reuse prep =
-  let selected =
-    match subset with
-    | None -> Array.init (Array.length prep.pts) Fun.id
-    | Some keep ->
-      Array.of_list
-        (List.filter (fun i -> keep prep.pts.(i))
-           (List.init (Array.length prep.pts) Fun.id))
-  in
-  let slots = Array.make (Array.length selected) None in
-  (* Points whose hash the caller already has an answer for are filled
-     in up front and never dispatched — this is what makes [--resume]
-     skip finished work. *)
-  let todo =
-    match reuse with
-    | None -> Array.mapi (fun s i -> (s, i)) selected
-    | Some lookup ->
-      let pending = ref [] in
-      Array.iteri
-        (fun s i ->
-          match lookup prep.hashes.(i) with
-          | Some indicators ->
-            slots.(s) <-
-              Some { point = prep.pts.(i); hash = prep.hashes.(i); indicators }
-          | None -> pending := (s, i) :: !pending)
-        selected;
-      Array.of_list (List.rev !pending)
-  in
-  let n = Array.length todo in
+    ?(tracer = Tracer.null) ?subset prep =
+  let keep = Option.value subset ~default:(fun _ -> true) in
+  let selected = Array.of_list (List.filter keep (Array.to_list prep.pts)) in
+  let n = Array.length selected in
+  let slots = Array.make n None in
   (* Each point's whole simulation is one span on the track of whichever
      domain ran it, index range in the args — Perfetto shows the sweep's
      work distribution directly. *)
   let tr_point = Tracer.intern tracer "sweep_point" in
   let one k =
-    let s, i = todo.(k) in
+    let i = selected.(k).index in
     Tracer.span_begin_range tracer tr_point ~lo:i ~hi:(i + 1);
     let o = run_point ~tracer prep i in
     Tracer.span_end tracer tr_point;
-    slots.(s) <- Some o
+    slots.(k) <- Some o
   in
   (if domains > 1 && n > 1 then (
      let pool = Domain_pool.create domains in
@@ -511,147 +480,6 @@ let run_prepared ?(domains = Domain_pool.default_size ())
   report_of_outcomes prep.spec outcomes
 
 let run ?domains ?tracer spec = run_prepared ?domains ?tracer (prepare spec)
-
-(* ---------------------------------------------------------------- *)
-(* Reading reports back.  Shards and resumes only need each stored
-   point's (hash, indicators): registries regenerate from indicators,
-   and grid coordinates come from the prepared spec, not the file.
-   Floats survive the trip exactly — the printer emits the shortest
-   representation that round-trips — so a merged or resumed report is
-   byte-identical to an uninterrupted run. *)
-
-let ( let* ) = Result.bind
-
-let float_field name j =
-  match Obs_json.member name j with
-  | Error _ -> Result.Error (Printf.sprintf "missing indicator %S" name)
-  | Ok Obs_json.Null -> Ok Float.nan (* the printer maps NaN to null *)
-  | Ok v ->
-    (match Obs_json.to_float v with
-    | Ok f -> Ok f
-    | Error _ -> Result.Error (Printf.sprintf "indicator %S is not a number" name))
-
-let indicators_of_json j : (Measure.indicators, string) result =
-  let* elapsed_s = float_field "elapsed_s" j in
-  let* internode_traffic_bps = float_field "internode_traffic_bps" j in
-  let* round_trip_delay_ms = float_field "round_trip_delay_ms" j in
-  let* updates_per_s = float_field "updates_per_s" j in
-  let* update_period_per_node_s = float_field "update_period_per_node_s" j in
-  let* actual_path_hops = float_field "actual_path_hops" j in
-  let* minimum_path_hops = float_field "minimum_path_hops" j in
-  let* path_ratio = float_field "path_ratio" j in
-  let* dropped_per_s = float_field "dropped_per_s" j in
-  let* overhead_bps = float_field "overhead_bps" j in
-  let* delay_p50_ms = float_field "delay_p50_ms" j in
-  let* delay_p95_ms = float_field "delay_p95_ms" j in
-  let* delay_p99_ms = float_field "delay_p99_ms" j in
-  let* route_changes_per_period = float_field "route_changes_per_period" j in
-  let* next_hop_flips_per_period = float_field "next_hop_flips_per_period" j in
-  let* link_flips_per_period = float_field "link_flips_per_period" j in
-  Ok
-    { Measure.elapsed_s;
-      internode_traffic_bps;
-      round_trip_delay_ms;
-      updates_per_s;
-      update_period_per_node_s;
-      actual_path_hops;
-      minimum_path_hops;
-      path_ratio;
-      dropped_per_s;
-      overhead_bps;
-      delay_p50_ms;
-      delay_p95_ms;
-      delay_p99_ms;
-      route_changes_per_period;
-      next_hop_flips_per_period;
-      link_flips_per_period }
-
-let stored_points json =
-  let* pts =
-    match Obs_json.member "points" json with
-    | Ok (Obs_json.List pts) -> Ok pts
-    | Ok _ -> Result.Error "report \"points\" is not a list"
-    | Error _ -> Result.Error "report has no \"points\" list"
-  in
-  let rec decode k acc = function
-    | [] -> Ok (List.rev acc)
-    | item :: rest ->
-      let ctx msg = Printf.sprintf "points[%d]: %s" k msg in
-      let* hash =
-        match Obs_json.member "hash" item with
-        | Ok (Obs_json.String h) -> Ok h
-        | Ok _ -> Result.Error (ctx "\"hash\" is not a string")
-        | Error _ -> Result.Error (ctx "missing \"hash\"")
-      in
-      let* indicators =
-        match Obs_json.member "indicators" item with
-        | Ok ind -> Result.map_error ctx (indicators_of_json ind)
-        | Error _ -> Result.Error (ctx "missing \"indicators\"")
-      in
-      decode (k + 1) ((hash, indicators) :: acc) rest
-  in
-  decode 0 [] pts
-
-(* ---------------------------------------------------------------- *)
-(* Merging shard reports.  Points are matched purely by hash; the
-   prepared spec supplies order and coordinates, so merge order — and
-   any intermediate partial merge — cannot change the result. *)
-
-let merge ?(allow_partial = false) prep shards =
-  let table = Hashtbl.create (Array.length prep.pts) in
-  let known = Hashtbl.create (Array.length prep.pts) in
-  Array.iter (fun h -> Hashtbl.replace known h ()) prep.hashes;
-  let rec gather k = function
-    | [] -> Ok ()
-    | shard :: rest ->
-      let* pts = Result.map_error (Printf.sprintf "shard %d: %s" k) (stored_points shard) in
-      let* () =
-        List.fold_left
-          (fun acc (hash, indicators) ->
-            let* () = acc in
-            if not (Hashtbl.mem known hash) then
-              Result.Error
-                (Printf.sprintf
-                   "shard %d: point %s is not in this spec's grid (spec or \
-                    scenario changed since the shard was written?)"
-                   k hash)
-            else
-              match Hashtbl.find_opt table hash with
-              | None ->
-                Hashtbl.add table hash indicators;
-                Ok ()
-              | Some prev ->
-                (* Runs are deterministic, so a point appearing in two
-                   shards must agree; disagreement means the shards came
-                   from different builds or scenarios. *)
-                if
-                  Obs_json.to_string (indicators_json prev)
-                  = Obs_json.to_string (indicators_json indicators)
-                then Ok ()
-                else
-                  Result.Error
-                    (Printf.sprintf
-                       "shard %d: point %s conflicts with an earlier shard" k
-                       hash))
-          (Ok ()) pts
-      in
-      gather (k + 1) rest
-  in
-  let* () = gather 0 shards in
-  let present = ref [] in
-  let missing = ref 0 in
-  Array.iteri
-    (fun i p ->
-      match Hashtbl.find_opt table prep.hashes.(i) with
-      | Some indicators ->
-        present := { point = p; hash = prep.hashes.(i); indicators } :: !present
-      | None -> incr missing)
-    prep.pts;
-  if !missing > 0 && not allow_partial then
-    Result.Error
-      (Printf.sprintf "%d of %d grid points missing from the given shards"
-         !missing (Array.length prep.pts))
-  else Ok (report_of_outcomes prep.spec (Array.of_list (List.rev !present)))
 
 (* ---------------------------------------------------------------- *)
 

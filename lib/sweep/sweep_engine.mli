@@ -9,17 +9,15 @@ open! Import
     {!run_prepared} then executes points (each its own flow simulator
     over [periods] routing periods) over a work-stealing
     {!Domain_pool.parallel_for_dynamic} handout and folds the results
-    into one report.  {!merge} rebuilds the same report from shard files,
-    and the [?reuse] hook skips points an earlier report already
-    answers — both keyed by the point hash.
+    into one report.
 
     Determinism is load-bearing: points are enumerated in a fixed axis
     order, each runs against a private scaled copy of the shared traffic
     template, per-point telemetry registries are regenerated from
     indicators and merged in point order (not completion order), and the
     report carries no domain or core counts — so the report is
-    {e byte-identical} under any [domains] setting, shard layout, or
-    resume history.  [test_sweep] pins this. *)
+    {e byte-identical} under any [domains] setting.  [test_sweep] pins
+    this. *)
 
 type point = {
   index : int;  (** position in the {!points} enumeration *)
@@ -31,7 +29,12 @@ type point = {
 
 type outcome = {
   point : point;
-  hash : string;  (** the point's stable identity; see {!point_hashes} *)
+  hash : string;
+      (** the point's content identity, printed as the row's ["hash"]:
+          the MD5 of (scenario {e content} digest × scenario × metric ×
+          scale × seed × periods × warmup) under a version tag.  It does
+          not depend on the grid around the point, and editing a
+          scenario file changes the hashes of its points. *)
   indicators : Measure.indicators;
 }
 
@@ -100,21 +103,12 @@ val prepare : Sweep_spec.t -> prepared
 
 val prepared_points : prepared -> point array
 
-val point_hashes : prepared -> string array
-(** [point_hashes prep].(i) identifies [prepared_points prep].(i): the
-    MD5 of (scenario {e content} digest × scenario × metric × scale ×
-    seed × periods × warmup) under a version tag.  Grid-shape
-    independent — the same point keeps its hash when axes are added or
-    the grid is re-sharded — and content-sensitive: editing a scenario
-    file invalidates its points. *)
-
 (** {2 Running} *)
 
 val run_prepared :
   ?domains:int ->
   ?tracer:Tracer.t ->
   ?subset:(point -> bool) ->
-  ?reuse:(string -> Measure.indicators option) ->
   prepared ->
   report
 (** Run every prepared point and assemble the report.
@@ -125,14 +119,9 @@ val run_prepared :
     point's simulator runs with [~domains:1] so pools never nest.
 
     [subset] (default: everything) restricts the run to the points it
-    accepts — the [--shard i/n] primitive.  Excluded points simply do
-    not appear in the report; indices and hashes keep their full-grid
-    values.
-
-    [reuse] is consulted once per selected point with the point's hash;
-    returning [Some indicators] adopts that answer without simulating —
-    the [--resume] primitive.  Because registries regenerate from
-    indicators, a resumed report is byte-identical to a fresh run.
+    accepts, e.g. one point at a time for per-point timing.  Excluded
+    points simply do not appear in the report; each included row equals
+    the full run's row at the same index (index, hash and indicators).
 
     [tracer] (default {!Tracer.null}) flight-records the sweep: each
     simulated point becomes a ["sweep_point"] span (point index in its
@@ -143,26 +132,6 @@ val run_prepared :
 
 val run : ?domains:int -> ?tracer:Tracer.t -> Sweep_spec.t -> report
 (** [run spec = run_prepared (prepare spec)]. *)
-
-(** {2 Shards and resumes} *)
-
-val stored_points :
-  Obs_json.t -> ((string * Measure.indicators) list, string) result
-(** Decode a report (or shard) produced by this module back into its
-    (hash, indicators) pairs — everything a merge or resume needs.
-    Floats round-trip exactly through the deterministic printer, so
-    re-emitting a stored point is byte-stable. *)
-
-val merge :
-  ?allow_partial:bool -> prepared -> Obs_json.t list -> (report, string) result
-(** Fold shard reports into one report for the prepared grid.  Points
-    are matched purely by hash, so merge order and grouping cannot
-    change the bytes: merging shards one at a time through partial
-    intermediates equals merging them all at once.  Errors: a shard
-    that does not decode, a hash outside the prepared grid (the spec or
-    a scenario changed since the shard was written), two shards
-    disagreeing about a point, or — unless [allow_partial] (default
-    false) — grid points covered by no shard. *)
 
 val csv : report -> string
 (** One header line plus one row per point: grid coordinates, the ten
@@ -176,4 +145,4 @@ val summary_csv : report -> string
     then a ["knee"] row per located critical-load knee.  Columns not
     applicable to a row's kind are empty.  Like the report itself, a
     pure function of the covered points — byte-identical across domain
-    counts, shards and resumes. *)
+    counts. *)

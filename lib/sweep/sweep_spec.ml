@@ -129,10 +129,10 @@ let seeds_field json =
          "\"seeds\" must be a list of integers or {\"from\",\"count\"}")
 
 (* The [critical_load] ramp expands into an evenly spaced scale grid at
-   parse time, so the engine sees an ordinary scale axis — point hashes,
-   shards and resumes all work unchanged.  Degenerate ramps (flagged by
-   lint as S109) collapse to their starting scale rather than failing
-   the parse, keeping every grid problem in the lint report. *)
+   parse time, so the engine sees an ordinary scale axis.  Degenerate
+   ramps (flagged by lint as S109) collapse to their starting scale
+   rather than failing the parse, keeping every grid problem in the lint
+   report. *)
 let ramp_scales r =
   if r.ramp_steps >= 2 && r.ramp_to > r.ramp_from then
     List.init r.ramp_steps (fun i ->
@@ -307,26 +307,6 @@ let lint t =
        else [])
   in
   scenario_axis @ metric_axis @ scale_axis @ ramp_axis @ seed_axis @ budget
-
-(* [--shard I/N]: this process runs grid points whose index ≡ I (mod N).
-   Parsed here so the CLI and routing_check agree on the S107 shape. *)
-let shard_of_string s =
-  match String.index_opt s '/' with
-  | None ->
-    Result.Error
-      (error "S107" "bad shard %S: expected I/N (e.g. 0/4)" s)
-  | Some slash ->
-    let i_text = String.sub s 0 slash in
-    let n_text = String.sub s (slash + 1) (String.length s - slash - 1) in
-    (match (int_of_string_opt i_text, int_of_string_opt n_text) with
-    | None, _ | _, None ->
-      Result.Error (error "S107" "bad shard %S: expected I/N (e.g. 0/4)" s)
-    | Some _, Some n when n < 1 ->
-      Result.Error (error "S107" "bad shard %S: N must be at least 1" s)
-    | Some i, Some n when i < 0 || i >= n ->
-      Result.Error
-        (error "S107" "bad shard %S: I must be in [0, %d)" s n)
-    | Some i, Some n -> Ok (i, n))
 
 let lint_file path =
   match In_channel.with_open_text path In_channel.input_all with

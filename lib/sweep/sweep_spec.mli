@@ -83,11 +83,6 @@ val lint : t -> issue list
     [critical_load] ramp (fewer than 3 steps, or a non-increasing
     interval). *)
 
-val shard_of_string : string -> (int * int, issue) result
-(** Parse a [--shard] argument ["I/N"] — this process runs grid points
-    whose index ≡ I (mod N).  Any shape problem — not [I/N], [N < 1],
-    [I] outside [\[0, N)] — is one [S107] error. *)
-
 val lint_file : string -> issue list * t option
 (** Read, {!parse}, {!lint}; unreadable files are an [S100] error and
     [None]. *)

@@ -151,10 +151,11 @@ let fit_to_access_capacity g tm ~frac =
                 (k *. Traffic_matrix.get tm ~src:node ~dst))
         end);
     Graph.iter_nodes g (fun node ->
-        let sunk =
-          Traffic_matrix.fold tm ~init:0. ~f:(fun acc ~src:_ ~dst v ->
-              if Node.equal dst node then acc +. v else acc)
-        in
+        (* Inbound demand, summed in source order. *)
+        let sunk = ref 0. in
+        Graph.iter_nodes g (fun src ->
+            sunk := !sunk +. Traffic_matrix.get tm ~src ~dst:node);
+        let sunk = !sunk in
         let limit = frac *. cap_in.(Node.to_int node) in
         if sunk > limit then begin
           let k = limit /. sunk in

@@ -565,39 +565,68 @@ let prop_compute_into_fixpoint =
       done;
       !ok)
 
+(* Twenty repairs of one random tree, each after [round rng g s weights]
+   has staged a batch of changes on [s] and applied them to [weights];
+   every repaired tree must be the fixpoint of the table it ends at. *)
+let repairs_match_fixpoint ~seed round =
+  let g = random_graph seed in
+  let rng = Rng.create (seed + 202) in
+  let s = Spf_repair.scratch () in
+  let weights = tied_weights rng g in
+  let root = Node.of_int (Rng.int rng (Graph.node_count g)) in
+  let tree = Dijkstra.compute_flat g ~weights root in
+  let ok = ref true in
+  for _ = 1 to 20 do
+    round rng g s weights;
+    ignore (Spf_repair.repair_staged s g ~tree ~weights);
+    if not (matches_fixpoint g ~weights tree) then ok := false
+  done;
+  !ok
+
+let random_weight rng =
+  if Rng.int rng 4 = 0 then -1 else Dijkstra.cost_weight (1 + Rng.int rng 3)
+
 let prop_repair_fixpoint =
   QCheck2.Test.make ~name:"repair_staged = fixpoint" ~count:60
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
-      let g = random_graph seed in
-      let nl = Graph.link_count g in
-      let rng = Rng.create (seed + 202) in
-      let s = Spf_repair.scratch () in
-      let weights = tied_weights rng g in
-      let root = Node.of_int (Rng.int rng (Graph.node_count g)) in
-      let tree = Dijkstra.compute_flat g ~weights root in
-      let ok = ref true in
-      for _ = 1 to 20 do
-        (* One to five links move together: cost changes, outages and
-           recoveries, each link staged once with its net change. *)
-        let next = Array.copy weights in
-        for _ = 0 to Rng.int rng 5 do
-          let i = Rng.int rng nl in
-          next.(i) <-
-            (if Rng.int rng 4 = 0 then -1
-             else Dijkstra.cost_weight (1 + Rng.int rng 3))
-        done;
-        Array.iteri
-          (fun i w ->
-            if w <> weights.(i) then begin
-              Spf_repair.stage s (Link.id_of_int i) ~old_w:weights.(i) ~new_w:w;
-              weights.(i) <- w
-            end)
-          next;
-        ignore (Spf_repair.repair_staged s g ~tree ~weights);
-        if not (matches_fixpoint g ~weights tree) then ok := false
-      done;
-      !ok)
+      repairs_match_fixpoint ~seed (fun rng g s weights ->
+          (* One to five links move together: cost changes, outages and
+             recoveries, each link staged once with its net change. *)
+          let next = Array.copy weights in
+          for _ = 0 to Rng.int rng 5 do
+            let i = Rng.int rng (Graph.link_count g) in
+            next.(i) <- random_weight rng
+          done;
+          Array.iteri
+            (fun i w ->
+              if w <> weights.(i) then begin
+                Spf_repair.stage s (Link.id_of_int i) ~old_w:weights.(i)
+                  ~new_w:w;
+                weights.(i) <- w
+              end)
+            next))
+
+let prop_repair_duplicate_fixpoint =
+  QCheck2.Test.make ~name:"repair_staged with duplicate stages = fixpoint"
+    ~count:60
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      repairs_match_fixpoint ~seed (fun rng g s weights ->
+          (* One to five links each pass through one to four weights,
+             staged as they move, so a link can be staged several times
+             and can end where it started. *)
+          for _ = 0 to Rng.int rng 5 do
+            let i = Rng.int rng (Graph.link_count g) in
+            for _ = 0 to Rng.int rng 4 do
+              let w = random_weight rng in
+              if w <> weights.(i) then begin
+                Spf_repair.stage s (Link.id_of_int i) ~old_w:weights.(i)
+                  ~new_w:w;
+                weights.(i) <- w
+              end
+            done
+          done))
 
 (* Drive an engine through [tables], checking every served tree after
    each refresh, and return how many refreshes took the full-sweep
@@ -705,5 +734,6 @@ let () =
         qsuite
           [ prop_compute_into_fixpoint;
             prop_repair_fixpoint;
+            prop_repair_duplicate_fixpoint;
             prop_engine_sweep_fixpoint;
             prop_engine_repair_fixpoint ] ) ]

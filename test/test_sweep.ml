@@ -7,13 +7,13 @@
    + Domain_pool.parallel_for_dynamic runs every index exactly once
      under any (domains, grain) — the steal protocol cannot drop or
      duplicate work (qcheck, uneven bodies to force stealing);
-   + Sweep_engine reports are byte-identical under any domain count,
-     shard layout, or resume history (work-stealing handout, hash-keyed
-     merge, and registry regeneration are all order-independent).
+   + Sweep_engine reports are byte-identical under any domain count
+     (work-stealing handout and per-point registry assembly are
+     order-independent), a subset run reproduces the full run's rows,
+     and each row's hash is a distinct, content-sensitive identity.
 
-   Plus the S1xx spec lint: every fixture trips exactly its code, the
-   --shard argument grammar (S107), and the shipped example spec is
-   clean. *)
+   Plus the S1xx spec lint: every fixture trips exactly its code, and
+   the shipped example spec is clean. *)
 
 module Node = Routing_topology.Node
 module Link = Routing_topology.Link
@@ -424,7 +424,7 @@ let test_critical_load_knees () =
   Alcotest.(check int) "summary CSV: header + 2 ranking + 2 knee rows" 5
     (List.length lines)
 
-(* --- sweep fabric: stealing, shards, resume ------------------------ *)
+(* --- sweep fabric: stealing, subsets, point identity ---------------- *)
 
 let report_bytes (r : Sweep_engine.report) = Obs_json.to_string r.Sweep_engine.json
 
@@ -463,137 +463,59 @@ let prop_stealing_byte_identical =
     ~name:"work-stealing reports == sequential (random grids)" grid_case
     run_grid_case
 
-let test_resume_byte_identity () =
-  (* Interrupt a grid mid-flight (only shard 0/2 of the points ran, as
-     if the process died), then resume from the partial report: the
-     resumed report must be byte-identical to an uninterrupted run, and
-     the reused points must not re-simulate. *)
-  let prep = Sweep_engine.prepare small_spec in
-  let uninterrupted = Sweep_engine.run_prepared ~domains:1 prep in
-  let partial =
-    Sweep_engine.run_prepared ~domains:1
-      ~subset:(fun p -> p.Sweep_engine.index mod 2 = 0)
-      prep
-  in
-  let stored =
-    match Sweep_engine.stored_points partial.Sweep_engine.json with
-    | Ok pts -> pts
-    | Error e -> Alcotest.failf "partial report does not decode: %s" e
-  in
-  Alcotest.(check int) "partial covers half the grid"
-    ((Array.length (Sweep_engine.prepared_points prep) + 1) / 2)
-    (List.length stored);
-  let table = Hashtbl.create 16 in
-  List.iter (fun (h, ind) -> Hashtbl.replace table h ind) stored;
-  let reused = ref 0 in
-  let resumed =
-    Sweep_engine.run_prepared ~domains:1
-      ~reuse:(fun h ->
-        match Hashtbl.find_opt table h with
-        | Some ind ->
-          incr reused;
-          Some ind
-        | None -> None)
-      prep
-  in
-  Alcotest.(check int) "every stored point reused" (List.length stored) !reused;
-  Alcotest.(check string) "resumed report == uninterrupted report"
-    (report_bytes uninterrupted) (report_bytes resumed)
+(* A report's "points" rows (index, hash, indicators), as printed. *)
+let point_rows (r : Sweep_engine.report) =
+  match Obs_json.member "points" r.Sweep_engine.json with
+  | Ok (Obs_json.List rows) -> List.map Obs_json.to_string rows
+  | _ -> Alcotest.fail "report has no \"points\" list"
 
-let test_shard_merge_associativity () =
-  let prep = Sweep_engine.prepare small_spec in
-  let full = Sweep_engine.run_prepared ~domains:1 prep in
-  let shard k =
-    (Sweep_engine.run_prepared ~domains:1
-       ~subset:(fun p -> p.Sweep_engine.index mod 3 = k)
-       prep)
-      .Sweep_engine.json
-  in
-  let s0 = shard 0 and s1 = shard 1 and s2 = shard 2 in
-  let merged shards =
-    match Sweep_engine.merge prep shards with
-    | Ok r -> report_bytes r
-    | Error e -> Alcotest.failf "merge failed: %s" e
-  in
-  Alcotest.(check string) "merge(s0,s1,s2) == single run" (report_bytes full)
-    (merged [ s0; s1; s2 ]);
-  Alcotest.(check string) "merge order irrelevant" (report_bytes full)
-    (merged [ s2; s0; s1 ]);
-  (* Associativity through a partial intermediate: (s0 + s1) + s2. *)
-  let s01 =
-    match Sweep_engine.merge ~allow_partial:true prep [ s0; s1 ] with
-    | Ok r -> r.Sweep_engine.json
-    | Error e -> Alcotest.failf "partial merge failed: %s" e
-  in
-  Alcotest.(check string) "merge(merge(s0,s1), s2) == single run"
-    (report_bytes full)
-    (merged [ s01; s2 ]);
-  (* Incomplete without allow_partial is an error, not a report. *)
-  (match Sweep_engine.merge prep [ s0; s1 ] with
-  | Ok _ -> Alcotest.fail "incomplete merge unexpectedly succeeded"
-  | Error _ -> ());
-  (* A shard from a different grid is rejected by hash. *)
-  let other =
-    Sweep_engine.prepare { small_spec with Sweep_spec.periods = 7 }
-  in
-  match Sweep_engine.merge other [ s0; s1; s2 ] with
-  | Ok _ -> Alcotest.fail "foreign shards unexpectedly merged"
-  | Error _ -> ()
+let small_full = lazy (Sweep_engine.run ~domains:1 small_spec)
 
-let test_point_hashes () =
-  let prep = Sweep_engine.prepare small_spec in
-  let hashes = Sweep_engine.point_hashes prep in
+(* A subset run must print exactly the full run's rows at the indices it
+   covers.  Per-point timing runs one point at a time and relies on
+   this. *)
+let subset_case =
+  QCheck.make ~print:QCheck.Print.(list bool)
+    QCheck.Gen.(list_repeat (List.length (Sweep_engine.points small_spec)) bool)
+
+let run_subset_case mask =
+  let keep = Array.of_list mask in
+  let part =
+    Sweep_engine.run_prepared ~domains:1
+      ~subset:(fun p -> keep.(p.Sweep_engine.index))
+      (Sweep_engine.prepare small_spec)
+  in
+  let expected =
+    List.filteri (fun i _ -> keep.(i)) (point_rows (Lazy.force small_full))
+  in
+  if point_rows part <> expected then
+    QCheck.Test.fail_reportf "subset rows:\n%s\nfull run's rows:\n%s"
+      (String.concat "\n" (point_rows part))
+      (String.concat "\n" expected);
+  true
+
+let prop_subset_rows =
+  QCheck.Test.make ~count:4
+    ~name:"subset report = matching rows of the full report" subset_case
+    run_subset_case
+
+let test_point_identity () =
+  let full = Lazy.force small_full in
+  let hashes =
+    Array.map (fun (o : Sweep_engine.outcome) -> o.hash) full.outcomes
+  in
   let distinct = List.sort_uniq compare (Array.to_list hashes) in
   Alcotest.(check int) "hashes are distinct per point" (Array.length hashes)
     (List.length distinct);
-  (* Grid-shape independence: dropping a scale axis value keeps the
-     surviving points' hashes, so shards and resumes survive spec
-     edits that only reshape the grid. *)
-  let narrowed =
-    Sweep_engine.prepare { small_spec with Sweep_spec.scales = [ 1.1 ] }
-  in
-  let pts = Sweep_engine.prepared_points prep in
-  let narrowed_pts = Sweep_engine.prepared_points narrowed in
-  let narrowed_hashes = Sweep_engine.point_hashes narrowed in
-  Array.iteri
-    (fun j (np : Sweep_engine.point) ->
-      let matching = ref None in
-      Array.iteri
-        (fun i (p : Sweep_engine.point) ->
-          if
-            p.scenario = np.scenario && p.metric = np.metric
-            && p.scale = np.scale && p.seed = np.seed
-          then matching := Some i)
-        pts;
-      match !matching with
-      | None -> Alcotest.fail "narrowed grid is not a subset"
-      | Some i ->
-        Alcotest.(check string) "same point, same hash" hashes.(i)
-          narrowed_hashes.(j))
-    narrowed_pts;
-  (* Content sensitivity: the same period budget under different
-     periods must hash differently (it is different work). *)
+  (* Content sensitivity: the same point under a different period
+     budget is different work and must hash differently. *)
   let longer =
-    Sweep_engine.point_hashes
+    Sweep_engine.run_prepared ~domains:1
+      ~subset:(fun p -> p.Sweep_engine.index = 0)
       (Sweep_engine.prepare { small_spec with Sweep_spec.periods = 6 })
   in
   Alcotest.(check bool) "periods change the hash" false
-    (String.equal hashes.(0) longer.(0))
-
-let test_shard_of_string () =
-  let ok s = match Sweep_spec.shard_of_string s with
-    | Ok v -> v
-    | Error (i : Sweep_spec.issue) -> Alcotest.failf "%S rejected: %s" s i.message
-  in
-  let bad s = match Sweep_spec.shard_of_string s with
-    | Ok (i, n) -> Alcotest.failf "%S accepted as %d/%d" s i n
-    | Error (issue : Sweep_spec.issue) ->
-      Alcotest.(check string) "S107" "S107" issue.code
-  in
-  Alcotest.(check (pair int int)) "0/4" (0, 4) (ok "0/4");
-  Alcotest.(check (pair int int)) "3/4" (3, 4) (ok "3/4");
-  Alcotest.(check (pair int int)) "0/1" (0, 1) (ok "0/1");
-  bad "4/4"; bad "-1/4"; bad "0/0"; bad "x/2"; bad "1"; bad "1/"; bad "/2"
+    (String.equal hashes.(0) longer.outcomes.(0).hash)
 
 (* --- registry merge ------------------------------------------------ *)
 
@@ -698,13 +620,9 @@ let () =
       ( "fabric",
         [ QCheck_alcotest.to_alcotest prop_dynamic_exactly_once;
           QCheck_alcotest.to_alcotest prop_stealing_byte_identical;
-          Alcotest.test_case "resume byte-identity" `Quick
-            test_resume_byte_identity;
-          Alcotest.test_case "shard-merge associativity" `Quick
-            test_shard_merge_associativity;
-          Alcotest.test_case "point hashes" `Quick test_point_hashes;
-          Alcotest.test_case "--shard grammar (S107)" `Quick
-            test_shard_of_string ] );
+          QCheck_alcotest.to_alcotest prop_subset_rows;
+          Alcotest.test_case "point hashes distinct and content-sensitive"
+            `Quick test_point_identity ] );
       ( "merge",
         [ Alcotest.test_case "registry merge" `Quick test_registry_merge ] );
       ( "spec",
